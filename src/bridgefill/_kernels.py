@@ -1,113 +1,50 @@
-"""Hot numeric kernels: numba-jitted loops with a pure-numpy fallback.
+"""Hot numeric kernels, in plain numpy.
 
-The jitted path is used whenever numba imports cleanly. Setting the
-environment variable ``BRIDGEFILL_NO_NUMBA=1`` (before import) forces the
-vectorised numpy fallback; ``benchmarks/bench_kernels.py`` compares the two.
-
-Both paths perform the same scalar operations in the same order, so they
-agree to within a few ulp (the fallback vectorises across replicates, which
-only reorders independent elementwise work). All kernels consume pre-drawn
-random variates; generators stay outside so results do not depend on the
-selected backend's RNG handling.
+All kernels consume pre-drawn random variates; the generators stay with the
+callers, so a seed means the same draws whatever the kernel does with them.
+Callers look kernels up as ``_kernels.<name>`` at call time, so a profiler
+can swap in a wrapper by patching the module attribute.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
-ENV_FLAG = "BRIDGEFILL_NO_NUMBA"
+# Recorded in experiment summaries; numpy is the only implementation.
+BACKEND = "numpy"
 
 
-def _numba_disabled() -> bool:
-    return os.environ.get(ENV_FLAG, "").strip().lower() in {"1", "true", "yes", "on"}
+def bridge_paths(sx, sy, ex, ey, duration, sigma_m, times, noise):
+    """Bridges from (sx, sy) at 0 to (ex, ey) at ``duration`` at the
+    interior ``times`` (k,), driven by standard normals ``noise`` (m, k, 2);
+    returns (m, k, 2) positions.
 
-
-HAVE_NUMBA = False
-if not _numba_disabled():
-    try:
-        from numba import njit  # noqa: F401
-
-        HAVE_NUMBA = True
-    except ImportError:
-        HAVE_NUMBA = False
-
-BACKEND = "numba" if HAVE_NUMBA else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# Loop implementations (njit-compiled when numba is active).
-# ---------------------------------------------------------------------------
-
-def _bridge_paths_loops(sx, sy, ex, ey, duration, sigma_m, times, noise):
-    # noise: (m, k, 2) standard normals; returns (m, k, 2) positions.
-    m = noise.shape[0]
-    k = noise.shape[1]
-    out = np.empty((m, k, 2))
-    for i in range(m):
-        px = sx
-        py = sy
-        t_prev = 0.0
-        for j in range(k):
-            dt = times[j] - t_prev
-            rem = duration - t_prev
-            w = dt / rem
-            sd = sigma_m * math.sqrt(dt * (rem - dt) / rem)
-            px = px + w * (ex - px) + sd * noise[i, j, 0]
-            py = py + w * (ey - py) + sd * noise[i, j, 1]
-            out[i, j, 0] = px
-            out[i, j, 1] = py
-            t_prev = times[j]
+    Closed form of sequential conditioning on the previous point and the
+    endpoint: the deviation from the chord at t_j is
+    (T - t_j) * sum_{i<=j} sd_i n_i / (T - t_i), with sd_i the conditional
+    standard deviation of step i. ``noise`` is read, never written.
+    """
+    dt = np.diff(times, prepend=0.0)
+    rest = duration - times
+    sd = sigma_m * np.sqrt(dt * rest / (rest + dt))
+    out = noise * (sd / rest)[:, None]
+    np.cumsum(out, axis=1, out=out)
+    out *= rest[:, None]
+    out += np.array([sx, sy]) + np.outer(times / duration, [ex - sx, ey - sy])
     return out
 
 
-def _bridge_gap_lengths_loops(dx, dy, duration, sigma_m, n_segments, noise):
-    # Length of a discretised bridge from (0,0) to (dx,dy) over n_segments
-    # equal steps; noise: (m, n_segments - 1, 2). The final step is the
-    # deterministic arrival at the endpoint.
-    m = noise.shape[0]
-    out = np.empty(m)
-    for i in range(m):
-        px = 0.0
-        py = 0.0
-        t_prev = 0.0
-        total = 0.0
-        for j in range(n_segments - 1):
-            t = duration * (j + 1.0) / n_segments
-            dt = t - t_prev
-            rem = duration - t_prev
-            w = dt / rem
-            sd = sigma_m * math.sqrt(dt * (rem - dt) / rem)
-            qx = px + w * (dx - px) + sd * noise[i, j, 0]
-            qy = py + w * (dy - py) + sd * noise[i, j, 1]
-            gx = qx - px
-            gy = qy - py
-            total = total + math.sqrt(gx * gx + gy * gy)
-            px = qx
-            py = qy
-            t_prev = t
-        gx = dx - px
-        gy = dy - py
-        out[i] = total + math.sqrt(gx * gx + gy * gy)
-    return out
-
-
-def _run_tumble_angles_loops(theta0, tumble, fresh):
-    # tumble: (steps,) uint8 flags; fresh: (steps,) replacement angles.
+def run_tumble_angles(theta0, tumble, fresh):
+    """Heading after each step: ``theta0`` until the first nonzero
+    ``tumble`` flag, then the ``fresh`` angle drawn at the latest tumble."""
     steps = tumble.shape[0]
-    out = np.empty(steps)
-    th = theta0
-    for j in range(steps):
-        if tumble[j] != 0:
-            th = fresh[j]
-        out[j] = th
-    return out
+    idx = np.where(tumble != 0, np.arange(steps), -1)
+    last = np.maximum.accumulate(idx)
+    return np.where(last >= 0, fresh[np.maximum(last, 0)], theta0)
 
 
-def _internal_state_positions_loops(heading0, step, c_keep, c_left, c_right,
-                                    c_reverse, c_remain, action_u, dir_u):
+def internal_state_positions(heading0, step, c_keep, c_left, c_right,
+                             c_reverse, c_remain, action_u, dir_u):
     # Grid walk driven by a two-state (moving/stationary) transition table.
     # c_* are cumulative probability thresholds; action_u/dir_u are uniform
     # draws in [0, 1). Starts moving with the given heading. Returns the
@@ -147,80 +84,3 @@ def _internal_state_positions_loops(heading0, step, c_keep, c_left, c_right,
         out[j, 0] = x
         out[j, 1] = y
     return out
-
-
-# ---------------------------------------------------------------------------
-# Vectorised numpy fallbacks.
-# ---------------------------------------------------------------------------
-
-def _bridge_paths_numpy(sx, sy, ex, ey, duration, sigma_m, times, noise):
-    m, k = noise.shape[0], noise.shape[1]
-    out = np.empty((m, k, 2))
-    px = np.full(m, sx)
-    py = np.full(m, sy)
-    t_prev = 0.0
-    for j in range(k):
-        dt = times[j] - t_prev
-        rem = duration - t_prev
-        w = dt / rem
-        sd = sigma_m * math.sqrt(dt * (rem - dt) / rem)
-        px = px + w * (ex - px) + sd * noise[:, j, 0]
-        py = py + w * (ey - py) + sd * noise[:, j, 1]
-        out[:, j, 0] = px
-        out[:, j, 1] = py
-        t_prev = times[j]
-    return out
-
-
-def _bridge_gap_lengths_numpy(dx, dy, duration, sigma_m, n_segments, noise):
-    m = noise.shape[0]
-    px = np.zeros(m)
-    py = np.zeros(m)
-    total = np.zeros(m)
-    t_prev = 0.0
-    for j in range(n_segments - 1):
-        t = duration * (j + 1.0) / n_segments
-        dt = t - t_prev
-        rem = duration - t_prev
-        w = dt / rem
-        sd = sigma_m * math.sqrt(dt * (rem - dt) / rem)
-        qx = px + w * (dx - px) + sd * noise[:, j, 0]
-        qy = py + w * (dy - py) + sd * noise[:, j, 1]
-        gx = qx - px
-        gy = qy - py
-        total = total + np.sqrt(gx * gx + gy * gy)
-        px = qx
-        py = qy
-        t_prev = t
-    gx = dx - px
-    gy = dy - py
-    return total + np.sqrt(gx * gx + gy * gy)
-
-
-def _run_tumble_angles_numpy(theta0, tumble, fresh):
-    steps = tumble.shape[0]
-    idx = np.where(tumble != 0, np.arange(steps), -1)
-    last = np.maximum.accumulate(idx)
-    return np.where(last >= 0, fresh[np.maximum(last, 0)], theta0)
-
-
-# The internal-state walk is a genuine state machine; its fallback is the
-# same loop, just interpreted.
-_internal_state_positions_numpy = _internal_state_positions_loops
-
-
-if HAVE_NUMBA:
-    _bridge_paths_loops = njit(cache=True)(_bridge_paths_loops)
-    _bridge_gap_lengths_loops = njit(cache=True)(_bridge_gap_lengths_loops)
-    _run_tumble_angles_loops = njit(cache=True)(_run_tumble_angles_loops)
-    _internal_state_positions_loops = njit(cache=True)(_internal_state_positions_loops)
-
-    bridge_paths = _bridge_paths_loops
-    bridge_gap_lengths = _bridge_gap_lengths_loops
-    run_tumble_angles = _run_tumble_angles_loops
-    internal_state_positions = _internal_state_positions_loops
-else:
-    bridge_paths = _bridge_paths_numpy
-    bridge_gap_lengths = _bridge_gap_lengths_numpy
-    run_tumble_angles = _run_tumble_angles_numpy
-    internal_state_positions = _internal_state_positions_numpy

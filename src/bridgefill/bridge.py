@@ -4,9 +4,13 @@ closed-form expected length of its discretisation.
 A bridge runs from ``start`` at time 0 to ``end`` at time ``duration`` with
 diffusion coefficient ``sigma_m``; at time t its position is Gaussian around
 the chord point with per-coordinate variance sigma_m^2 t (duration - t) /
-duration. Sampling conditions sequentially on the previous point and the
-fixed endpoint, which reproduces the joint law exactly in O(n) with pinned
-endpoints.
+duration. Sampling is exact at any interior times, with pinned endpoints.
+Conditioning each point on the previous one and the endpoint adds step
+noise sd_i n_i; unrolled, that recursion puts the point at t_j at the chord
+plus D_j = (T - t_j) * sum_{i<=j} sd_i n_i / (T - t_i), the discrete form
+of X_t = (T - t) * integral_0^t dW_s / (T - s) (Glasserman, *Monte Carlo
+Methods in Financial Engineering*, 2004, section 3.1). One cumulative sum
+over the noise builds all paths.
 """
 
 from __future__ import annotations
@@ -125,7 +129,8 @@ def expected_path_length(
 
     Equals the Rice mean with location ||displacement|| and per-coordinate
     variance sigma_m^2 duration (segments - 1); degenerates to
-    ||displacement|| for a single segment or a zero diffusion coefficient.
+    ||displacement|| when that variance is 0: a single segment, a zero
+    diffusion coefficient, or one so small that its square underflows.
     """
     if not isinstance(segments, (int, np.integer)) or segments < 1:
         raise DomainError(f"segments must be an integer >= 1, got {segments!r}")
@@ -137,9 +142,10 @@ def expected_path_length(
     if not (math.isfinite(dx) and math.isfinite(dy)):
         raise DomainError("displacement must be finite")
     d_norm = math.hypot(dx, dy)
-    if segments == 1 or sigma_m == 0.0:
+    var = sigma_m * sigma_m * duration * (segments - 1)
+    if var == 0.0:
         return d_norm
-    return rice_mean(d_norm, sigma_m * sigma_m * duration * (segments - 1))
+    return rice_mean(d_norm, var)
 
 
 def sample_path_lengths(
@@ -152,8 +158,13 @@ def sample_path_lengths(
 ) -> np.ndarray:
     """Measured lengths of ``n_samples`` sampled discretised bridges.
 
-    Monte-Carlo counterpart of :func:`expected_path_length`; useful for
-    validation and benchmarking.
+    Each bridge runs from the origin to ``displacement`` and is sampled at
+    the ``segments - 1`` equally spaced interior times by
+    :func:`sample_bridge_many`, which uses the closed-form construction
+    X_t = (T - t) * integral_0^t dW_s / (T - s) around the chord
+    (Glasserman 2004, section 3.1). Its length is the sum of the step
+    norms, both endpoints included. Monte-Carlo counterpart of
+    :func:`expected_path_length`; useful for validation and benchmarking.
     """
     if not isinstance(segments, (int, np.integer)) or segments < 1:
         raise DomainError(f"segments must be an integer >= 1, got {segments!r}")
@@ -162,8 +173,9 @@ def sample_path_lengths(
     dx, dy = map(float, displacement)
     if segments == 1 or sigma_m == 0.0:
         return np.full(n_samples, math.hypot(dx, dy))
-    rng = make_rng(rng)
-    noise = rng.standard_normal((n_samples, segments - 1, 2))
-    return _kernels.bridge_gap_lengths(
-        dx, dy, float(duration), float(sigma_m), int(segments), noise
-    )
+    params = BridgeParams((0.0, 0.0), (dx, dy), float(duration), float(sigma_m))
+    times = params.duration * np.arange(1, segments) / segments
+    paths = sample_bridge_many(params, times, n_samples, rng)
+    ends = np.zeros((n_samples, 1, 2))
+    steps = np.diff(paths, axis=1, prepend=ends, append=ends + (dx, dy))
+    return np.hypot(steps[..., 0], steps[..., 1]).sum(axis=1)

@@ -11,10 +11,13 @@ from typing import Union
 
 import numpy as np
 
-from . import _kernels
-from .bridge import BridgeParams, expected_path_length, sample_bridge
+from .bridge import (
+    BridgeParams,
+    expected_path_length,
+    sample_bridge,
+    sample_bridge_many,
+)
 from .errors import DomainError
-from .seeding import make_rng
 from .trajectory import GappedTrajectory, TimedPoint
 
 DEFAULT_ROG_REALISATIONS = 1000
@@ -124,18 +127,11 @@ def estimate_gap_rog(
     """
     if realisations < 1:
         raise DomainError(f"realisations must be >= 1, got {realisations}")
-    params = _bridge_params(gapped, sigma_m)
     shifted = gapped.missing_times - gapped.left_anchor.t
-    rng = make_rng(rng)
     k = len(shifted)
-    if k == 0:
-        fills = np.empty((realisations, 0, 2))
-    else:
-        noise = rng.standard_normal((realisations, k, 2))
-        fills = _kernels.bridge_paths(
-            params.start[0], params.start[1], params.end[0], params.end[1],
-            params.duration, params.sigma_m, shifted, noise,
-        )
+    fills = sample_bridge_many(
+        _bridge_params(gapped, sigma_m), shifted, realisations, rng
+    )
     observed = np.concatenate([gapped.before.coords, gapped.after.coords])
     n_total = len(observed) + k
     rogs = np.empty(realisations)

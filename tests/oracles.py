@@ -2,8 +2,10 @@
 
 Deliberately disjoint from the package's own evaluation paths: the Rice
 mean is integrated directly against the 2-D Gaussian density in polar
-coordinates (no Bessel functions anywhere), and the Bessel oracle is plain
-term-by-term series summation with exact accumulation.
+coordinates (no Bessel functions anywhere), the Bessel oracle is plain
+term-by-term series summation with exact accumulation, and the bridge
+oracle conditions each point on the previous one and the endpoint in a
+scalar loop (the package uses the unrolled closed form).
 """
 
 import math
@@ -72,3 +74,28 @@ def polyline_length(points: np.ndarray) -> float:
         math.hypot(points[i + 1, 0] - points[i, 0], points[i + 1, 1] - points[i, 1])
         for i in range(len(points) - 1)
     )
+
+
+def bridge_paths_sequential(start, end, duration, sigma_m, times, noise):
+    """Bridges by sequential conditioning, one scalar step at a time.
+
+    Each point is Gaussian given the previous point and the fixed endpoint:
+    mean moves the fraction dt / (T - t_prev) of the way to the endpoint,
+    standard deviation sigma_m sqrt(dt (T - t) / (T - t_prev)). ``noise``
+    (m, k, 2) standard normals; returns (m, k, 2) positions.
+    """
+    m, k = noise.shape[0], noise.shape[1]
+    out = np.empty((m, k, 2))
+    for i in range(m):
+        px, py = start
+        t_prev = 0.0
+        for j in range(k):
+            dt = times[j] - t_prev
+            rem = duration - t_prev
+            w = dt / rem
+            sd = sigma_m * math.sqrt(dt * (rem - dt) / rem)
+            px = px + w * (end[0] - px) + sd * noise[i, j, 0]
+            py = py + w * (end[1] - py) + sd * noise[i, j, 1]
+            out[i, j] = px, py
+            t_prev = times[j]
+    return out

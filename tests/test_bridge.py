@@ -112,6 +112,10 @@ class TestExpectedPathLength:
         )
         assert expected_path_length(0.0, 100.0, (3, 4), 100) == 5.0
 
+    def test_underflowing_variance_gives_chord(self):
+        # sigma_m^2 underflows to 0, so the Rice variance is 0
+        assert expected_path_length(1e-200, 1.0, (3, 4), 10) == 5.0
+
     def test_round_trip_rayleigh_case(self):
         expected = 2.0 * math.sqrt((math.pi / 2.0) * 100.0 * 50.0)
         assert expected_path_length(2.0, 100.0, (0, 0), 51) == pytest.approx(expected)
@@ -160,8 +164,8 @@ class TestSampledLengths:
         assert abs(lengths.mean() - closed) < 3 * se
 
     def test_lengths_match_sampled_paths(self):
-        # The dedicated length kernel must measure exactly what a sampled
-        # path measures.
+        # The sampled lengths must measure exactly what a sampled path
+        # measures, from the same seed.
         sigma, duration, n = 1.5, 10.0, 10
         p = BridgeParams((0, 0), (3, 4), duration, sigma)
         times = duration * np.arange(1, n) / n

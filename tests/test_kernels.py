@@ -1,0 +1,35 @@
+import sys
+
+import numpy as np
+import pytest
+
+import bridgefill
+from bridgefill import _kernels
+
+from .oracles import bridge_paths_sequential
+
+UNEVEN_TIMES = [
+    np.array([0.3, 0.31, 2.5, 7.0, 9.99]),
+    np.sort(np.random.default_rng(3).uniform(0.0, 10.0, 200)),
+]
+
+
+class TestBridgePaths:
+    @pytest.mark.parametrize("m", [1, 7])
+    @pytest.mark.parametrize("sigma", [0.0, 1.7])
+    @pytest.mark.parametrize("times", UNEVEN_TIMES, ids=["k5", "k200"])
+    def test_matches_sequential_oracle(self, m, sigma, times):
+        start, end, duration = (3.0, -2.0), (-5.0, 8.0), 10.0
+        noise = np.random.default_rng(11).standard_normal((m, len(times), 2))
+        before = noise.copy()
+        got = _kernels.bridge_paths(*start, *end, duration, sigma, times, noise)
+        expected = bridge_paths_sequential(start, end, duration, sigma, times, noise)
+        assert np.array_equal(noise, before)
+        assert got.shape == (m, len(times), 2)
+        scale = np.abs(expected).max()
+        assert np.abs(got - expected).max() <= 1e-12 * scale
+
+
+def test_numpy_is_the_only_backend():
+    assert bridgefill.BACKEND == "numpy"
+    assert "numba" not in sys.modules
