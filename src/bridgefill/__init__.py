@@ -2,8 +2,9 @@
 
 The package estimates a diffusion coefficient from the observed points by
 maximum likelihood, reconstructs the missing window with an
-exact-endpoint bridge or a straight line, and reports the gap's expected
-path length (closed form) and radius of gyration (Monte Carlo). A CLI
+exact-endpoint bridge or a straight line (``fill_gap``), and reports the
+gap's expected path length (closed form) and radius of gyration (Monte
+Carlo). A CLI
 (``bridgefill``) exposes simulation of five synthetic movement models, gap
 handling, and the two batch experiments.
 """
@@ -48,13 +49,10 @@ from .experiments import (
     write_summary_json,
 )
 from .gapfill import (
-    BridgeFill,
     GapRogEstimate,
-    LinearFill,
     estimate_gap_length,
     estimate_gap_rog,
-    fill_bridge,
-    fill_linear,
+    fill_gap,
 )
 from .generators import (
     AngularWalk,
@@ -110,8 +108,7 @@ __all__ = [
     # metrics
     "GapMetrics", "path_length", "radius_of_gyration", "gap_metrics",
     # gapfill
-    "LinearFill", "BridgeFill", "GapRogEstimate", "fill_linear", "fill_bridge",
-    "estimate_gap_length", "estimate_gap_rog",
+    "GapRogEstimate", "fill_gap", "estimate_gap_length", "estimate_gap_rog",
     # experiments
     "ExperimentConfig", "ExperimentReport", "default_config", "run_experiment",
     "write_records_csv", "write_summary_json",

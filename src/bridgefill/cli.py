@@ -35,8 +35,7 @@ from .gapfill import (
     DEFAULT_ROG_REALISATIONS,
     estimate_gap_length,
     estimate_gap_rog,
-    fill_bridge,
-    fill_linear,
+    fill_gap,
 )
 from .generators import MODEL_NAMES, generate, spec_from_dict
 from .metrics import path_length, radius_of_gyration
@@ -153,6 +152,12 @@ def _cmd_metrics(args, parser) -> int:
 
 
 def _cmd_fill(args, parser) -> int:
+    if args.realisations < 1:
+        parser.error(f"--realisations must be >= 1, got {args.realisations}")
+    if args.sigma is not None and not (
+        math.isfinite(args.sigma) and args.sigma >= 0.0
+    ):
+        parser.error(f"--sigma must be finite and >= 0, got {args.sigma!r}")
     traj = read_trajectory_csv(args.infile)
     gapped = _gapped_from_args(traj, args)
     chord = float(math.hypot(*gapped.chord))
@@ -171,8 +176,8 @@ def _cmd_fill(args, parser) -> int:
         summary["sigma_hat"] = sigma
         summary["sigma_source"] = "estimated"
         summary["sigma_clamped"] = est.clamped
+    fill = fill_gap(gapped, args.method, sigma, args.seed)
     if args.method == "bridge":
-        fill = fill_bridge(gapped, sigma, args.seed)
         summary["expected_gap_length"] = estimate_gap_length(gapped, sigma)
         rog = estimate_gap_rog(
             gapped, sigma, realisations=args.realisations,
@@ -184,7 +189,6 @@ def _cmd_fill(args, parser) -> int:
             "realisations": rog.realisations,
         }
     else:
-        fill = fill_linear(gapped)
         summary["expected_gap_length"] = chord
     filled = splice_fill(gapped, fill, args.method)
     summary["rog_filled"] = radius_of_gyration(filled)

@@ -15,18 +15,22 @@ Two experiment kinds are built in:
   after; the linear fill is scored on the same generated path. Models:
   fixed-velocity v=1, angular-walk sigma=0.1, run-tumble l=1.
 
-``fill_anchors`` selects where the replacement segment is pinned: ``gap``
-anchors it across the gap's own endpoints, ``loop`` anchors it from the
-final observed point back to the gap's right anchor, so a leading gap is
-replaced by an excursion that closes the observed remainder into a loop.
-The rog experiment defaults to ``loop`` (its reference summary statistics
-correspond to that anchoring); the path-length experiment uses ``gap``.
+``fill_anchors`` is passed to ``gapfill.fill_gap`` as its ``anchors``:
+``gap`` pins the replacement segment across the gap's own endpoints,
+``loop`` pins it from the final observed point back to the gap's right
+anchor, so a leading gap is replaced by an excursion that closes the
+observed remainder into a loop. The rog experiment defaults to ``loop``
+(its reference summary statistics correspond to that anchoring); the
+path-length experiment uses ``gap``.
 
 Every replicate derives its streams from the master seed via
 ``child_seed(master, cell_index, replicate, purpose)`` with purpose 0 for
 path generation and 1 for the fill, so reports are byte-identical across
 reruns and independent of execution order. Summaries embed the seed, the
-model grid, and the package version.
+model grid, and the package version. Each summary cell's statistics cover
+the finite values only, and ``count`` says how many there were: a
+path-length replicate whose true gap length is 0 keeps its ``inf`` ratio in
+the records but not in the summary.
 """
 
 from __future__ import annotations
@@ -40,20 +44,17 @@ import numpy as np
 
 from ._kernels import BACKEND
 from ._version import __version__
-from .bridge import BridgeParams, sample_bridge
 from .errors import InvalidSpecError
 from .estimator import SearchConfig, estimate_sigma
-from .gapfill import estimate_gap_length, fill_bridge, fill_linear
+from .gapfill import ANCHOR_MODES, METHODS, estimate_gap_length, fill_gap
 from .generators import ModelSpec, generate, spec_from_dict, spec_to_dict
 from .metrics import gap_metrics, path_length
 from .seeding import child_seed
-from .trajectory import GappedTrajectory, TimedPoint, excise_gap, splice_fill
+from .trajectory import excise_gap, splice_fill
 
 PATH_LENGTH_KIND = "path-length"
 ROG_KIND = "rog"
 KINDS = (PATH_LENGTH_KIND, ROG_KIND)
-METHODS = ("bridge", "linear")
-ANCHOR_MODES = ("gap", "loop")
 
 DEFAULT_MASTER_SEED = 20260301
 
@@ -199,31 +200,6 @@ def _params_label(spec: ModelSpec) -> str:
     return ";".join(f"{k}={d[k]:g}" for k in sorted(d))
 
 
-def _loop_fill(gapped: GappedTrajectory, sigma_m: float, seed: int,
-               linear: bool) -> list[TimedPoint]:
-    # Replacement anchored from the final observed point back to the gap's
-    # right anchor; the missing times keep the gap's own time geometry.
-    start = gapped.after.point(len(gapped.after) - 1)
-    end = gapped.right_anchor
-    duration = gapped.duration
-    shifted = gapped.missing_times - gapped.left_anchor.t
-    if linear:
-        return [
-            TimedPoint(float(t), start.x + (s / duration) * (end.x - start.x),
-                       start.y + (s / duration) * (end.y - start.y))
-            for t, s in zip(gapped.missing_times, shifted)
-        ]
-    params = BridgeParams(
-        start=(start.x, start.y), end=(end.x, end.y),
-        duration=duration, sigma_m=sigma_m,
-    )
-    points = sample_bridge(params, shifted, seed)
-    return [
-        TimedPoint(float(t), float(p[0]), float(p[1]))
-        for t, p in zip(gapped.missing_times, points)
-    ]
-
-
 def _run_replicate(config: ExperimentConfig, cell: int, rep: int,
                    spec: ModelSpec) -> list[dict]:
     path_seed = child_seed(config.master_seed, cell, rep, 0)
@@ -254,18 +230,10 @@ def _run_replicate(config: ExperimentConfig, cell: int, rep: int,
                 "estimated_length": estimated, "length_ratio": ratio,
             })
     else:
-        if config.fill_anchors == "loop":
-            fills = {
-                "bridge": _loop_fill(gapped, est.sigma_m, fill_seed, linear=False),
-                "linear": _loop_fill(gapped, est.sigma_m, fill_seed, linear=True),
-            }
-        else:
-            fills = {
-                "bridge": fill_bridge(gapped, est.sigma_m, fill_seed),
-                "linear": fill_linear(gapped),
-            }
         for method in METHODS:
-            spliced = splice_fill(gapped, fills[method], method)
+            fill = fill_gap(gapped, method, est.sigma_m, fill_seed,
+                            config.fill_anchors)
+            spliced = splice_fill(gapped, fill, method)
             m = gap_metrics(traj, gapped, spliced)
             records.append({
                 **base, "method": method, "rog_before": m.rog_before,
@@ -274,20 +242,13 @@ def _run_replicate(config: ExperimentConfig, cell: int, rep: int,
     return records
 
 
-def _quartiles(values: np.ndarray) -> tuple[float, float, float]:
-    q1, q2, q3 = np.percentile(values, [25.0, 50.0, 75.0])
-    return float(q1), float(q2), float(q3)
-
-
-def _summarise_cell(kind: str, records: list[dict], spec: ModelSpec,
-                    method: str) -> dict:
-    value_key = "length_ratio" if kind == PATH_LENGTH_KIND else "rog_error"
-    values = np.array([r[value_key] for r in records])
-    q1, q2, q3 = _quartiles(values)
+def _statistics(values: np.ndarray) -> dict:
+    """Mean, sample standard deviation, quartiles and the count of values
+    beyond 1.5 IQR of the quartiles; all None when ``values`` is empty."""
+    if len(values) == 0:
+        return dict.fromkeys(("mean_error", "std_dev", "quartiles", "outliers"))
+    q1, q2, q3 = (float(q) for q in np.percentile(values, [25.0, 50.0, 75.0]))
     iqr = q3 - q1
-    outliers = int(
-        ((values < q1 - 1.5 * iqr) | (values > q3 + 1.5 * iqr)).sum()
-    )
     mean = math.fsum(values) / len(values)
     if len(values) > 1:
         std = math.sqrt(
@@ -295,15 +256,27 @@ def _summarise_cell(kind: str, records: list[dict], spec: ModelSpec,
         )
     else:
         std = 0.0
+    return {
+        "mean_error": mean,
+        "std_dev": std,
+        "quartiles": [q1, q2, q3],
+        "outliers": int(
+            ((values < q1 - 1.5 * iqr) | (values > q3 + 1.5 * iqr)).sum()
+        ),
+    }
+
+
+def _summarise_cell(kind: str, records: list[dict], spec: ModelSpec,
+                    method: str) -> dict:
+    value_key = "length_ratio" if kind == PATH_LENGTH_KIND else "rog_error"
+    values = np.array([r[value_key] for r in records])
+    values = values[np.isfinite(values)]
     cell = {
         "model": spec_to_dict(spec),
         "params": _params_label(spec),
         "method": method,
         "count": len(values),
-        "mean_error": mean,
-        "std_dev": std,
-        "quartiles": [q1, q2, q3],
-        "outliers": outliers,
+        **_statistics(values),
     }
     if kind == ROG_KIND:
         cell["mean_rog_before"] = math.fsum(
@@ -363,5 +336,5 @@ def write_records_csv(report: ExperimentReport, path: str | Path) -> None:
 
 def write_summary_json(report: ExperimentReport, path: str | Path) -> None:
     with open(path, "w") as fh:
-        json.dump(report.summary, fh, indent=2, sort_keys=True)
+        json.dump(report.summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

@@ -1,13 +1,13 @@
-"""End-to-end gap interpolation: estimate the diffusion coefficient from the
-observed points, fill the missing window by bridge or straight line, and
-estimate the gap's path length (closed form) and radius of gyration
-(Monte Carlo)."""
+"""End-to-end gap interpolation: fill the missing window by bridge or
+straight line with ``fill_gap``, and estimate the gap's path length (closed
+form) and radius of gyration (Monte Carlo) for a given diffusion
+coefficient. Fills are ``(n_missing, 2)`` position arrays at the gap's
+missing times, ready for ``splice_fill``."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -18,75 +18,38 @@ from .bridge import (
     sample_bridge_many,
 )
 from .errors import DomainError
-from .trajectory import GappedTrajectory, TimedPoint
+from .trajectory import GappedTrajectory
 
 DEFAULT_ROG_REALISATIONS = 1000
+METHODS = ("bridge", "linear")
+ANCHOR_MODES = ("gap", "loop")
 
 
-@dataclass(frozen=True)
-class LinearFill:
-    """Constant-velocity straight line between the anchors."""
-
-
-@dataclass(frozen=True)
-class BridgeFill:
-    """Brownian-bridge fill; ``sigma_override`` skips estimation."""
-
-    realisations: int = 1
-    sigma_override: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.realisations < 1:
-            raise DomainError(
-                f"realisations must be >= 1, got {self.realisations}"
-            )
-        if self.sigma_override is not None and not (
-            math.isfinite(self.sigma_override) and self.sigma_override > 0.0
-        ):
-            raise DomainError(
-                f"sigma_override must be > 0, got {self.sigma_override!r}"
-            )
-
-
-FillMethod = Union[LinearFill, BridgeFill]
-
-
-def fill_linear(gapped: GappedTrajectory) -> list[TimedPoint]:
-    """Constant-velocity points at the missing times."""
-    left = gapped.left_anchor
-    chord = gapped.chord
-    duration = gapped.duration
-    out = []
-    for t in gapped.missing_times:
-        frac = (t - left.t) / duration
-        out.append(TimedPoint(float(t), left.x + frac * chord[0],
-                              left.y + frac * chord[1]))
-    return out
-
-
-def _bridge_params(gapped: GappedTrajectory, sigma_m: float) -> BridgeParams:
-    left, right = gapped.left_anchor, gapped.right_anchor
-    return BridgeParams(
-        start=(left.x, left.y),
-        end=(right.x, right.y),
-        duration=gapped.duration,
-        sigma_m=sigma_m,
-    )
-
-
-def fill_bridge(
+def fill_gap(
     gapped: GappedTrajectory,
+    method: str,
     sigma_m: float,
     rng: int | np.random.Generator,
-) -> list[TimedPoint]:
-    """One bridge realisation at the missing times (anchors pinned)."""
-    params = _bridge_params(gapped, sigma_m)
-    shifted = gapped.missing_times - gapped.left_anchor.t
-    points = sample_bridge(params, shifted, rng)
-    return [
-        TimedPoint(float(t), float(p[0]), float(p[1]))
-        for t, p in zip(gapped.missing_times, points)
-    ]
+    anchors: str = "gap",
+) -> np.ndarray:
+    """Fill positions at ``gapped.missing_times``, shape (n_missing, 2).
+
+    The fill runs from a start point to the right anchor over the gap's own
+    time geometry. ``anchors="gap"`` starts at the left anchor;
+    ``anchors="loop"`` starts at the final observed point, so a leading gap
+    closes the observed remainder into a loop. ``method="linear"`` moves at
+    constant velocity and ignores ``sigma_m`` and ``rng``;
+    ``method="bridge"`` draws one Brownian-bridge realisation.
+    """
+    if method not in METHODS or anchors not in ANCHOR_MODES:
+        raise DomainError(f"unknown fill {method!r} with anchors {anchors!r}")
+    start = (gapped.after if anchors == "loop" else gapped.before).coords[-1]
+    end = gapped.after.coords[0]
+    duration = gapped.duration
+    shifted = gapped.missing_times - gapped.before.times[-1]
+    if method == "linear":
+        return start + np.outer(shifted / duration, end - start)
+    return sample_bridge(BridgeParams(start, end, duration, sigma_m), shifted, rng)
 
 
 def estimate_gap_length(gapped: GappedTrajectory, sigma_m: float) -> float:
@@ -127,11 +90,11 @@ def estimate_gap_rog(
     """
     if realisations < 1:
         raise DomainError(f"realisations must be >= 1, got {realisations}")
-    shifted = gapped.missing_times - gapped.left_anchor.t
+    shifted = gapped.missing_times - gapped.before.times[-1]
     k = len(shifted)
-    fills = sample_bridge_many(
-        _bridge_params(gapped, sigma_m), shifted, realisations, rng
-    )
+    params = BridgeParams(gapped.before.coords[-1], gapped.after.coords[0],
+                          gapped.duration, sigma_m)
+    fills = sample_bridge_many(params, shifted, realisations, rng)
     observed = np.concatenate([gapped.before.coords, gapped.after.coords])
     n_total = len(observed) + k
     rogs = np.empty(realisations)

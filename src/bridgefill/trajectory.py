@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -196,36 +196,31 @@ def excise_gap(traj: Trajectory, from_index: int, count: int) -> GappedTrajector
 
 def splice_fill(
     gapped: GappedTrajectory,
-    fill: Sequence[TimedPoint],
+    coords: np.ndarray,
     source: str = "fill",
 ) -> Trajectory:
-    """Merge observed points and fill points into one labelled trajectory.
+    """Merge observed points and fill positions into one labelled trajectory.
 
-    The fill timestamps must equal ``missing_times`` exactly, otherwise
-    TimeMismatchError. Observed points are labelled "observed" and fill
-    points with ``source``.
+    ``coords`` holds one (x, y) row per missing time, shape
+    ``(gapped.n_missing, 2)``, otherwise TimeMismatchError; the fill takes
+    its timestamps from ``missing_times``. Observed points are labelled
+    "observed" and fill points with ``source``.
     """
-    fill = list(fill)
-    fill_times = np.asarray([p.t for p in fill], dtype=float)
-    if fill_times.shape != gapped.missing_times.shape or not np.array_equal(
-        fill_times, gapped.missing_times
-    ):
+    coords = np.asarray(coords, dtype=float)
+    if coords.shape != (gapped.n_missing, 2):
         raise TimeMismatchError(
-            "fill times do not match the missing times of the gap"
+            f"fill has shape {coords.shape}, the gap needs "
+            f"({gapped.n_missing}, 2)"
         )
-    fill_coords = (
-        np.asarray([[p.x, p.y] for p in fill], dtype=float)
-        if fill
-        else np.empty((0, 2))
-    )
-    times = np.concatenate([gapped.before.times, fill_times, gapped.after.times])
-    coords = np.concatenate([gapped.before.coords, fill_coords, gapped.after.coords])
+    times = np.concatenate(
+        [gapped.before.times, gapped.missing_times, gapped.after.times])
+    merged = np.concatenate([gapped.before.coords, coords, gapped.after.coords])
     sources = (
         (SOURCE_OBSERVED,) * len(gapped.before)
-        + (source,) * len(fill)
+        + (source,) * gapped.n_missing
         + (SOURCE_OBSERVED,) * len(gapped.after)
     )
-    return Trajectory(times, coords, sources)
+    return Trajectory(times, merged, sources)
 
 
 def _format(v: float) -> str:

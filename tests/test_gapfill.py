@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from bridgefill.gapfill import estimate_gap_rog
+from bridgefill.bridge import BridgeParams, sample_bridge
+from bridgefill.errors import DomainError
+from bridgefill.gapfill import estimate_gap_rog, fill_gap
 from bridgefill.metrics import radius_of_gyration
 from bridgefill.trajectory import Trajectory, excise_gap
 
@@ -61,3 +63,51 @@ class TestEstimateGapRog:
         assert est.std_error == 0.0
         # nothing is drawn for an empty gap
         assert rng.random() == np.random.default_rng(5).random()
+
+
+def _on_line(start, end, gapped):
+    frac = (gapped.missing_times - gapped.before.times[-1]) / gapped.duration
+    return start + frac[:, None] * (end - start)
+
+
+class TestFillGap:
+    @pytest.mark.parametrize("method", ["bridge", "linear"])
+    @pytest.mark.parametrize("anchors", ["gap", "loop"])
+    @pytest.mark.parametrize("count", [0, 1, 25])
+    def test_shape(self, method, anchors, count):
+        fill = fill_gap(_gapped(count), method, 1.3, 0, anchors)
+        assert fill.shape == (count, 2)
+
+    def test_linear_gap_lies_on_anchor_chord(self):
+        gapped = _gapped(25)
+        fill = fill_gap(gapped, "linear", 1.3, 0, "gap")
+        expected = _on_line(gapped.before.coords[-1], gapped.after.coords[0], gapped)
+        np.testing.assert_allclose(fill, expected, rtol=0, atol=1e-12)
+
+    def test_linear_loop_runs_from_last_point_to_right_anchor(self):
+        gapped = _gapped(25)
+        fill = fill_gap(gapped, "linear", 1.3, 0, "loop")
+        expected = _on_line(gapped.after.coords[-1], gapped.after.coords[0], gapped)
+        np.testing.assert_allclose(fill, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("anchors", ["gap", "loop"])
+    def test_bridge_is_one_sample_between_the_same_anchors(self, anchors):
+        gapped = _gapped(25)
+        last = gapped.after if anchors == "loop" else gapped.before
+        start = last.coords[-1]
+        params = BridgeParams(start, gapped.after.coords[0], gapped.duration, 1.3)
+        shifted = gapped.missing_times - gapped.before.times[-1]
+        assert np.array_equal(fill_gap(gapped, "bridge", 1.3, 8, anchors),
+                              sample_bridge(params, shifted, 8))
+
+    @pytest.mark.parametrize("anchors", ["gap", "loop"])
+    def test_zero_sigma_bridge_is_linear(self, anchors):
+        gapped = _gapped(25)
+        np.testing.assert_allclose(fill_gap(gapped, "bridge", 0.0, 3, anchors),
+                                   fill_gap(gapped, "linear", 0.0, 3, anchors),
+                                   rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("method,anchors", [("spline", "gap"), ("linear", "edge")])
+    def test_unknown_method_or_anchors_rejected(self, method, anchors):
+        with pytest.raises(DomainError):
+            fill_gap(_gapped(5), method, 1.3, 0, anchors)

@@ -111,7 +111,7 @@ class TestExciseGap:
 class TestSpliceFill:
     def test_empty_fill_concatenates(self):
         gapped = excise_gap(unit_path(5), 2, 0)
-        merged = splice_fill(gapped, [])
+        merged = splice_fill(gapped, np.empty((0, 2)))
         assert len(merged) == 5
         assert merged.sources == ("observed",) * 5
 
@@ -121,18 +121,20 @@ class TestSpliceFill:
             after=build_trajectory([(5, 10, 0)]),
             missing_times=np.array([1.0, 2.0, 3.0, 4.0]),
         )
-        from bridgefill.gapfill import fill_linear
+        from bridgefill.gapfill import fill_gap
 
-        merged = splice_fill(gapped, fill_linear(gapped), "linear")
+        merged = splice_fill(gapped, fill_gap(gapped, "linear", 0.0, 0), "linear")
         assert [p.x for p in merged] == [0, 2, 4, 6, 8, 10]
         assert merged.sources == ("observed",) + ("linear",) * 4 + ("observed",)
 
-    def test_wrong_timestamp_rejected(self):
+    def test_wrong_shape_rejected(self):
         gapped = excise_gap(unit_path(5), 2, 1)
         with pytest.raises(TimeMismatchError):
-            splice_fill(gapped, [TimedPoint(2.5, 0.0, 0.0)])
+            splice_fill(gapped, np.zeros((2, 2)))
         with pytest.raises(TimeMismatchError):
-            splice_fill(gapped, [])
+            splice_fill(gapped, np.empty((0, 2)))
+        with pytest.raises(TimeMismatchError):
+            splice_fill(gapped, np.zeros(2))
 
     @given(
         n=st.integers(min_value=3, max_value=40),
@@ -144,7 +146,7 @@ class TestSpliceFill:
         count = data.draw(st.integers(min_value=0, max_value=n - 1 - from_index))
         traj = unit_path(n)
         gapped = excise_gap(traj, from_index, count)
-        removed = [traj.point(i) for i in range(from_index, from_index + count)]
+        removed = traj.coords[from_index:from_index + count]
         merged = splice_fill(gapped, removed)
         assert np.array_equal(merged.times, traj.times)
         assert np.array_equal(merged.coords, traj.coords)
@@ -166,7 +168,7 @@ class TestCsv:
 
     def test_header_and_source_column(self, tmp_path):
         gapped = excise_gap(unit_path(5), 2, 1)
-        merged = splice_fill(gapped, [TimedPoint(2.0, 1.5, 2.5)], "bridge")
+        merged = splice_fill(gapped, np.array([[1.5, 2.5]]), "bridge")
         path = tmp_path / "filled.csv"
         write_trajectory_csv(path, merged)
         text = path.read_text().splitlines()
