@@ -125,6 +125,7 @@ def _cmd_estimate(args, parser) -> int:
             "sigma_hat": est.sigma_m,
             "log_likelihood": est.log_likelihood_at_max,
             "n_triples": est.n_triples,
+            "n_skipped": est.n_skipped,
             "clamped": est.clamped,
         },
         sys.stdout,
@@ -166,18 +167,22 @@ def _cmd_fill(args, parser) -> int:
         "n_missing": gapped.n_missing,
         "chord_length": chord,
     }
-    if args.sigma is not None:
-        sigma = args.sigma
-        summary["sigma_hat"] = sigma
-        summary["sigma_source"] = "override"
+    if args.method == "linear":
+        # a straight line needs no diffusion coefficient
+        fill = fill_gap(gapped, "linear", 0.0, args.seed)
+        summary["expected_gap_length"] = chord
     else:
-        est = estimate_sigma(gapped.observed())
-        sigma = est.sigma_m
+        if args.sigma is not None:
+            sigma = args.sigma
+            summary["sigma_source"] = "override"
+        else:
+            est = estimate_sigma(gapped.observed())
+            sigma = est.sigma_m
+            summary["sigma_source"] = "estimated"
+            summary["sigma_clamped"] = est.clamped
+            summary["sigma_n_skipped"] = est.n_skipped
         summary["sigma_hat"] = sigma
-        summary["sigma_source"] = "estimated"
-        summary["sigma_clamped"] = est.clamped
-    fill = fill_gap(gapped, args.method, sigma, args.seed)
-    if args.method == "bridge":
+        fill = fill_gap(gapped, "bridge", sigma, args.seed)
         summary["expected_gap_length"] = estimate_gap_length(gapped, sigma)
         rog = estimate_gap_rog(
             gapped, sigma, realisations=args.realisations,
@@ -188,8 +193,6 @@ def _cmd_fill(args, parser) -> int:
             "std_error": None if math.isnan(rog.std_error) else rog.std_error,
             "realisations": rog.realisations,
         }
-    else:
-        summary["expected_gap_length"] = chord
     filled = splice_fill(gapped, fill, args.method)
     summary["rog_filled"] = radius_of_gyration(filled)
     write_trajectory_csv(args.out, filled)
@@ -272,10 +275,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gap-count", type=int, default=None)
     p.add_argument("--method", choices=("bridge", "linear"), default="bridge")
     p.add_argument("--sigma", type=float, default=None,
-                   help="skip estimation and use this diffusion coefficient")
+                   help="skip estimation and use this diffusion coefficient "
+                        "(bridge only)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--realisations", type=int, default=DEFAULT_ROG_REALISATIONS,
-                   help="Monte-Carlo realisations for the RoG estimate")
+                   help="Monte-Carlo realisations for the RoG estimate "
+                        "(bridge only)")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("metrics", help="path length and RoG of a CSV")

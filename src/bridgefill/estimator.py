@@ -81,10 +81,15 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SigmaEstimate:
+    """A fitted sigma_m. ``n_triples`` triples entered the likelihood;
+    ``n_skipped`` more were left out for a variance weight at or below
+    ``VARIANCE_WEIGHT_FLOOR``."""
+
     sigma_m: float
     log_likelihood_at_max: float
     n_triples: int
     clamped: bool
+    n_skipped: int = 0
 
 
 def extract_triples(traj: Trajectory) -> list[BridgeTriple]:
@@ -175,7 +180,8 @@ def estimate_sigma(
     chord-aligned data has no interior maximum; the estimate then clamps to
     the boundary and ``clamped`` is set.
     """
-    n_kept, _, sum_log_a, quad = _stats(traj) if len(traj) >= 3 else (0, 0, 0.0, 0.0)
+    n_kept, n_skipped, sum_log_a, quad = (
+        _stats(traj) if len(traj) >= 3 else (0, 0, 0.0, 0.0))
     if len(traj) < 3 or n_kept == 0:
         raise TooFewPointsError("trajectory yields no usable triple")
 
@@ -201,4 +207,5 @@ def estimate_sigma(
         ),
         n_triples=n_kept,
         clamped=clamped,
+        n_skipped=n_skipped,
     )

@@ -84,27 +84,33 @@ def estimate_gap_rog(
     """Mean radius of gyration of the spliced path over independent bridge
     fills.
 
-    Aggregation uses exact summation, so the result does not depend on the
-    order realisations are processed in. ``std_error`` is NaN for a single
-    realisation.
+    Every point is taken relative to the observed centroid ``c``, which keeps
+    the sums small at large coordinates. The observed points enter through
+    ``S2 = sum |o - c|^2`` and ``S1 = sum (o - c)``, computed once; each
+    realisation's ``N`` points then have
+    ``RoG^2 = (S2 + sum |f - c|^2) / N - |(S1 + sum (f - c)) / N|^2``, so
+    the cost is O(n + m k) for n observed points, m realisations and k
+    missing points, not O(m (n + k)). Aggregation uses exact summation, so
+    the result does not depend on the order realisations are processed in.
+    ``std_error`` is NaN for a single realisation.
     """
     if realisations < 1:
         raise DomainError(f"realisations must be >= 1, got {realisations}")
     shifted = gapped.missing_times - gapped.before.times[-1]
-    k = len(shifted)
     params = BridgeParams(gapped.before.coords[-1], gapped.after.coords[0],
                           gapped.duration, sigma_m)
     fills = sample_bridge_many(params, shifted, realisations, rng)
     observed = np.concatenate([gapped.before.coords, gapped.after.coords])
-    n_total = len(observed) + k
-    rogs = np.empty(realisations)
-    for i in range(realisations):
-        pts = np.concatenate([observed, fills[i]]) if k else observed
-        centred = pts - pts.mean(axis=0)
-        rogs[i] = np.sqrt((centred ** 2).sum(axis=1).sum() / n_total)
+    centre = observed.mean(axis=0)
+    observed -= centre
+    fills -= centre
+    n_total = len(observed) + len(shifted)
+    sum_sq = (observed ** 2).sum() + (fills ** 2).sum(axis=(1, 2))
+    mean_offset = (observed.sum(axis=0) + fills.sum(axis=1)) / n_total
+    rogs = np.sqrt(sum_sq / n_total - (mean_offset ** 2).sum(axis=1))
     mean = math.fsum(rogs) / realisations
     if realisations == 1:
         return GapRogEstimate(mean=mean, std_error=math.nan, realisations=1)
-    var = math.fsum((r - mean) ** 2 for r in rogs) / (realisations - 1)
+    var = math.fsum((rogs - mean) ** 2) / (realisations - 1)
     std_error = math.sqrt(var / realisations)
     return GapRogEstimate(mean=mean, std_error=std_error, realisations=realisations)

@@ -9,11 +9,15 @@ shared freely across threads.
 CSV schema: header ``t,x,y`` for plain trajectories, ``t,x,y,source`` for
 filled ones (``source`` in {observed, bridge, linear}). Floats are written
 with ``repr``, which round-trips doubles exactly.
+
+CSV dialect: comma-separated rows ending in CRLF, no quoting and no comment
+lines. The reader accepts any line ending, skips empty lines and parses the
+rows with ``np.loadtxt``, which also sets the accepted number syntax.
 """
 
 from __future__ import annotations
 
-import csv
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
@@ -223,39 +227,65 @@ def splice_fill(
     return Trajectory(times, merged, sources)
 
 
-def _format(v: float) -> str:
-    return repr(float(v))
+# Rows formatted per ``writelines`` call: enough to amortise the call, few
+# enough that the formatted text stays small next to the trajectory itself.
+_WRITE_CHUNK = 4096
+# The dialect has no quoting, so a label may not hold a field or row separator.
+_SEPARATORS = (",", "\r", "\n")
 
 
 def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
-    """Write ``t,x,y`` CSV (plus ``source`` column when labels are present)."""
+    """Write ``t,x,y`` CSV (plus ``source`` column when labels are present).
+
+    Raises CsvFormatError for a source label holding a comma or line break.
+    """
+    labels = traj.sources
+    if labels is not None:
+        bad = sorted(s for s in set(labels) if any(c in s for c in _SEPARATORS))
+        if bad:
+            raise CsvFormatError(f"source labels {bad} hold a CSV separator")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if traj.sources is None:
-            writer.writerow(["t", "x", "y"])
-            for i in range(len(traj)):
-                writer.writerow(
-                    [_format(traj.times[i]), _format(traj.coords[i, 0]),
-                     _format(traj.coords[i, 1])]
-                )
-        else:
-            writer.writerow(["t", "x", "y", "source"])
-            for i in range(len(traj)):
-                writer.writerow(
-                    [_format(traj.times[i]), _format(traj.coords[i, 0]),
-                     _format(traj.coords[i, 1]), traj.sources[i]]
-                )
+        fh.write("t,x,y\r\n" if labels is None else "t,x,y,source\r\n")
+        for start in range(0, len(traj), _WRITE_CHUNK):
+            stop = start + _WRITE_CHUNK
+            rows = np.column_stack(
+                [traj.times[start:stop], traj.coords[start:stop]]).tolist()
+            if labels is None:
+                fh.writelines(f"{t!r},{x!r},{y!r}\r\n" for t, x, y in rows)
+            else:
+                fh.writelines(f"{t!r},{x!r},{y!r},{s}\r\n"
+                              for (t, x, y), s in zip(rows, labels[start:stop]))
+
+
+def _bad_row(path: str | Path, n_fields: int) -> str | None:
+    """``"line: reason"`` for the first data row of ``path`` that is not
+    ``n_fields`` fields with three numbers first, or None if there is none."""
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if lineno == 1 or line == "\n":
+                continue
+            fields = line.rstrip("\n").split(",")
+            if len(fields) != n_fields:
+                return f"{lineno}: expected {n_fields} fields"
+            try:
+                for f in fields[:3]:
+                    float(f)
+            except ValueError as exc:
+                return f"{lineno}: {exc}"
+    return None
 
 
 def read_trajectory_csv(path: str | Path) -> Trajectory:
-    """Read a trajectory CSV written by :func:`write_trajectory_csv`."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
+    """Read a trajectory CSV written by :func:`write_trajectory_csv`.
+
+    Raises CsvFormatError on a bad header or row, naming the row's file
+    line, and NonFiniteError on NaN or infinite values.
+    """
+    with open(path) as fh:
+        header = fh.readline()
+        if not header:
+            raise CsvFormatError(f"{path}: empty file")
+        header = [h.strip() for h in header.rstrip("\n").split(",")]
         if header == ["t", "x", "y"]:
             with_source = False
         elif header == ["t", "x", "y", "source"]:
@@ -264,25 +294,26 @@ def read_trajectory_csv(path: str | Path) -> Trajectory:
             raise CsvFormatError(
                 f"{path}: expected header 't,x,y' or 't,x,y,source', got {header}"
             )
-        rows = []
-        sources = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            expected = 4 if with_source else 3
-            if len(row) != expected:
-                raise CsvFormatError(f"{path}:{lineno}: expected {expected} fields")
-            try:
-                rows.append((float(row[0]), float(row[1]), float(row[2])))
-            except ValueError as exc:
-                raise CsvFormatError(f"{path}:{lineno}: {exc}") from None
-            if with_source:
-                sources.append(row[3])
-    if not rows:
+        dtype = [("t", float), ("x", float), ("y", float)]
+        if with_source:
+            dtype.append(("source", object))
+        try:
+            with warnings.catch_warnings():
+                # a header-only file is reported below as "no data rows"
+                warnings.filterwarnings(
+                    "ignore", "loadtxt: input contained no data", UserWarning)
+                rows = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
+                                  ndmin=1)
+        except ValueError as exc:
+            where = _bad_row(path, len(header))
+            raise CsvFormatError(
+                f"{path}:{where}" if where else f"{path}: {exc}") from None
+    if len(rows) == 0:
         raise CsvFormatError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=float)
-    if not np.isfinite(data).all():
+    times = rows["t"]
+    coords = np.column_stack([rows["x"], rows["y"]])
+    if not (np.isfinite(times).all() and np.isfinite(coords).all()):
         raise NonFiniteError(f"{path}: non-finite values")
     return Trajectory(
-        data[:, 0], data[:, 1:], tuple(sources) if with_source else None
+        times, coords, tuple(rows["source"]) if with_source else None
     )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -60,11 +61,66 @@ class TestFill:
         assert exc.value.code == 2
         assert flags[0] in capsys.readouterr().err
 
+    def test_linear_skips_sigma(self, path_csv, tmp_path, capsys, monkeypatch):
+        def no_fit(traj):
+            raise AssertionError("a linear fill needs no sigma")
+
+        monkeypatch.setattr("bridgefill.cli.estimate_sigma", no_fit)
+        assert _fill(path_csv, tmp_path / "o.csv", "--method", "linear") == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert not {"sigma_hat", "sigma_source", "sigma_clamped",
+                    "sigma_n_skipped", "rog_estimate"} & summary.keys()
+        assert summary["expected_gap_length"] == summary["chord_length"]
+
+    def test_linear_fills_two_observed_points(self, tmp_path, capsys):
+        src = tmp_path / "in.csv"
+        src.write_text("t,x,y\n0,0,0\n2,4,2\n")
+        out = tmp_path / "o.csv"
+        assert main(["fill", "--in", str(src), "--method", "linear",
+                     "--out", str(out)]) == 0
+        assert read_trajectory_csv(out).coords.tolist() == [[0, 0], [2, 1], [4, 2]]
+        assert main(["fill", "--in", str(src), "--out", str(out)]) == 3
+        assert "triple" in capsys.readouterr().err
+
+    def test_reports_skipped_triples(self, tmp_path, capsys):
+        src = tmp_path / "in.csv"
+        src.write_text("t,x,y\n0,0,0\n1e-13,1,1\n1,2,2\n2,3,1\n3,5,5\n"
+                       "4,4,4\n5,6,6\n")
+        assert main(["estimate", "--in", str(src)]) == 0
+        est = json.loads(capsys.readouterr().out)
+        assert (est["n_triples"], est["n_skipped"]) == (2, 1)
+        assert main(["fill", "--in", str(src), "--gap-start", "5",
+                     "--gap-count", "1", "--realisations", "3",
+                     "--out", str(tmp_path / "o.csv")]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert (summary["sigma_source"], summary["sigma_n_skipped"]) == (
+            "estimated", 1)
+
     def test_malformed_csv_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("t,x,y\n0,zero,0\n")
         assert main(["fill", "--in", str(bad), "--out", str(tmp_path / "o.csv")]) == 3
         assert "bridgefill: error:" in capsys.readouterr().err
+
+
+class TestGolden:
+    """Output bytes and the RoG estimate for fixed seeds stay as released."""
+
+    def test_simulate_and_bridge_fill(self, tmp_path, capsys):
+        sim, filled = tmp_path / "sim.csv", tmp_path / "filled.csv"
+        assert main(["simulate", "--model", "angular-walk", "--steps", "400",
+                     "--seed", "1", "--out", str(sim)]) == 0
+        assert hashlib.sha256(sim.read_bytes()).hexdigest() == (
+            "3308a0530efd5a9d2156a1055169877cc7b6eec3c3dd62ca7a4752a69f5e96ef")
+        capsys.readouterr()
+        assert main(["fill", "--in", str(sim), "--gap-start", "120",
+                     "--gap-count", "90", "--method", "bridge", "--seed", "5",
+                     "--realisations", "50", "--out", str(filled)]) == 0
+        assert hashlib.sha256(filled.read_bytes()).hexdigest() == (
+            "3ea2ed374590514fdad1db903178123e32bf1eb021edcc69b207d1f366f624b4")
+        rog = json.loads(capsys.readouterr().out)["rog_estimate"]
+        assert rog["mean"] == pytest.approx(27.483999943241727, rel=1e-12)
+        assert rog["std_error"] == pytest.approx(0.00715675466683201, rel=1e-12)
 
 
 def _traj(times):

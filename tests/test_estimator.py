@@ -139,6 +139,17 @@ class TestEstimateSigma:
             assert not est.clamped
             assert est.n_triples == len(extract_triples(traj))
 
+    def test_counts_skipped_triples(self):
+        # The first midpoint sits 1e-13 after its left anchor, so its
+        # variance weight is below VARIANCE_WEIGHT_FLOOR.
+        traj = build_trajectory(
+            [(0, 0, 0), (1e-13, 1, 1), (1, 2, 2), (2, 3, 1), (3, 5, 5)])
+        est = estimate_sigma(traj)
+        assert (est.n_triples, est.n_skipped) == (1, 1)
+        assert est.sigma_m == pytest.approx(
+            closed_form_sigma(extract_triples(traj)), rel=1e-6)
+        assert estimate_sigma(random_trajectory(make_rng(3))).n_skipped == 0
+
     def test_loglik_field_consistent(self):
         traj = random_trajectory(make_rng(11), n_points=21)
         est = estimate_sigma(traj)

@@ -12,9 +12,9 @@ from bridgefill.trajectory import Trajectory, excise_gap
 from .oracles import bridge_paths_sequential
 
 
-def _gapped(count):
+def _gapped(count, offset=(100.0, -50.0)):
     walk = np.cumsum(np.random.default_rng(4).standard_normal((60, 2)), axis=0)
-    traj = Trajectory(np.arange(60.0), walk + (100.0, -50.0))
+    traj = Trajectory(np.arange(60.0), walk + offset)
     return excise_gap(traj, 10, count)
 
 
@@ -63,6 +63,22 @@ class TestEstimateGapRog:
         assert est.std_error == 0.0
         # nothing is drawn for an empty gap
         assert rng.random() == np.random.default_rng(5).random()
+
+    def test_empty_gap_many_realisations_draws_nothing(self):
+        gapped = _gapped(0)
+        rng = np.random.default_rng(5)
+        est = estimate_gap_rog(gapped, 1.3, 1000, rng)
+        assert est.mean == pytest.approx(
+            radius_of_gyration(gapped.observed()), rel=1e-12)
+        assert est.std_error <= 1e-15 * est.mean
+        assert est.realisations == 1000
+        assert rng.random() == np.random.default_rng(5).random()
+
+    def test_translation_invariant(self):
+        near = estimate_gap_rog(_gapped(25), 1.3, 200, 7)
+        far = estimate_gap_rog(_gapped(25, (1e7, -1e7)), 1.3, 200, 7)
+        assert far.mean == pytest.approx(near.mean, rel=1e-9)
+        assert far.std_error == pytest.approx(near.std_error, rel=1e-9)
 
 
 def _on_line(start, end, gapped):

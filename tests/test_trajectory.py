@@ -1,4 +1,7 @@
+import csv
+import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -217,3 +220,89 @@ class TestCsv:
         write_trajectory_csv(path, traj)
         back = read_trajectory_csv(path)
         assert np.array_equal(back.coords, traj.coords)
+
+    def test_written_bytes_use_crlf_and_repr(self, tmp_path):
+        traj = build_trajectory([(0, 0.1, -1.0 / 3.0), (2.5, 1e300, -0.0)])
+        path = tmp_path / "t.csv"
+        write_trajectory_csv(path, traj)
+        assert path.read_bytes() == (
+            b"t,x,y\r\n0.0,0.1,-0.3333333333333333\r\n2.5,1e+300,-0.0\r\n")
+        write_trajectory_csv(path, Trajectory(traj.times, traj.coords,
+                                              ("observed", "bridge")))
+        assert path.read_bytes() == (
+            b"t,x,y,source\r\n0.0,0.1,-0.3333333333333333,observed\r\n"
+            b"2.5,1e+300,-0.0,bridge\r\n")
+
+    @pytest.mark.parametrize("labelled", [False, True])
+    def test_long_file_matches_csv_module(self, tmp_path, labelled):
+        # 9000 rows cross the writer's chunk boundaries.
+        rng = np.random.default_rng(2)
+        times = np.cumsum(rng.uniform(0.1, 2.0, 9000))
+        coords = rng.standard_normal((9000, 2)) * 10.0 ** rng.integers(-5, 9, (9000, 2))
+        sources = tuple(rng.choice(["observed", "bridge"], 9000)) if labelled else None
+        path = tmp_path / "t.csv"
+        write_trajectory_csv(path, Trajectory(times, coords, sources))
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["t", "x", "y", "source"][:4 if labelled else 3])
+        for i in range(9000):
+            row = [repr(float(v)) for v in (times[i], *coords[i])]
+            writer.writerow(row + [sources[i]] if labelled else row)
+        assert path.read_bytes() == expected.getvalue().encode()
+
+    @pytest.mark.parametrize("text,line", [
+        ("t,x,y\n0,0,0\n1,1\n", 3),
+        ("t,x,y\n0,0,0\n\n\n1,1,1,1\n", 5),
+        ("t,x,y,source\n0,0,0,observed\n1,1,1\n", 3),
+        ("t,x,y,source\n0,0,0,observed\n\n1,1,1,bridge,x\n", 4),
+        ("t,x,y\n0,0,0\n1,zero,1\n", 3),
+        ("t,x,y\n0,0,0\n\n1,1,\n", 4),
+        ("t,x,y,source\n0,0,0,observed\n\n\n1,1,one,bridge\n", 5),
+    ], ids=["short", "long", "source-short", "source-long", "word", "empty-field",
+            "source-word"])
+    def test_bad_row_names_its_line(self, tmp_path, text, line):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(CsvFormatError, match=f"bad.csv:{line}: "):
+            read_trajectory_csv(path)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("t,x,y\n\n0,1,2\n\n\n3,4,5\n\n")
+        traj = read_trajectory_csv(path)
+        assert traj.times.tolist() == [0.0, 3.0]
+        assert traj.coords.tolist() == [[1.0, 2.0], [4.0, 5.0]]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        path = tmp_path / "t.csv"
+        path.write_text(f"t,x,y\n0,0,0\n1,{value},1\n")
+        with pytest.raises(NonFiniteError):
+            read_trajectory_csv(path)
+
+    def test_source_labels_round_trip(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"t,x,y,source\r\n0.0,0.0,0.0,observed\r\n"
+                         b"1.0,0.5,-0.5,bridge\r\n2.0,1.0,1.0,linear\r\n")
+        traj = read_trajectory_csv(path)
+        assert traj.sources == ("observed", "bridge", "linear")
+        assert traj.coords.tolist() == [[0.0, 0.0], [0.5, -0.5], [1.0, 1.0]]
+        again = tmp_path / "again.csv"
+        write_trajectory_csv(again, traj)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("label", ["a,b", "two\nlines", "cr\r"])
+    def test_label_with_separator_rejected(self, tmp_path, label):
+        traj = Trajectory([0.0, 1.0], [[0.0, 0.0], [1.0, 1.0]], ("observed", label))
+        with pytest.raises(CsvFormatError, match="separator"):
+            write_trajectory_csv(tmp_path / "t.csv", traj)
+
+    @pytest.mark.parametrize("text", ["t,x,y\r\n", "t,x,y\n\n\n",
+                                      "t,x,y,source\n"])
+    def test_header_only_rejected_without_warning(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CsvFormatError, match="no data rows"):
+                read_trajectory_csv(path)
