@@ -31,15 +31,7 @@ from .errors import (
     TimeMismatchError,
     TooFewPointsError,
 )
-from .estimator import (
-    BridgeTriple,
-    SearchConfig,
-    SigmaEstimate,
-    closed_form_sigma,
-    estimate_sigma,
-    extract_triples,
-    log_likelihood,
-)
+from .estimator import SigmaEstimate, estimate_sigma
 from .experiments import (
     ExperimentConfig,
     ExperimentReport,
@@ -99,8 +91,7 @@ __all__ = [
     "BridgeParams", "bridge_marginal", "sample_bridge", "sample_bridge_many",
     "expected_path_length", "sample_path_lengths",
     # estimator
-    "BridgeTriple", "SearchConfig", "SigmaEstimate", "extract_triples",
-    "log_likelihood", "closed_form_sigma", "estimate_sigma",
+    "SigmaEstimate", "estimate_sigma",
     # generators
     "ModelSpec", "DiscreteBrownian", "FixedVelocity", "AngularWalk",
     "InternalStateWalk", "RunTumble", "InternalStateTable",

@@ -45,7 +45,7 @@ import numpy as np
 from ._kernels import BACKEND
 from ._version import __version__
 from .errors import InvalidSpecError
-from .estimator import SearchConfig, estimate_sigma
+from .estimator import estimate_sigma
 from .gapfill import ANCHOR_MODES, METHODS, estimate_gap_length, fill_gap
 from .generators import ModelSpec, generate, spec_from_dict, spec_to_dict
 from .metrics import gap_metrics, path_length
@@ -206,7 +206,7 @@ def _run_replicate(config: ExperimentConfig, cell: int, rep: int,
     fill_seed = child_seed(config.master_seed, cell, rep, 1)
     traj = generate(spec, config.steps, path_seed)
     gapped = excise_gap(traj, config.gap_start, config.gap_count)
-    est = estimate_sigma(gapped.observed(), SearchConfig())
+    est = estimate_sigma(gapped.observed())
     base = {
         "model": spec_to_dict(spec)["model"],
         "params": _params_label(spec),

@@ -5,14 +5,22 @@ mean is integrated directly against the 2-D Gaussian density in polar
 coordinates (no Bessel functions anywhere), the Bessel oracle is plain
 term-by-term series summation with exact accumulation, and the bridge
 oracle conditions each point on the previous one and the endpoint in a
-scalar loop (the package uses the unrolled closed form).
+scalar loop (the package uses the unrolled closed form), and the sigma_m
+likelihood is summed triple by triple over point objects (the package
+reduces whole arrays).
 """
 
 import math
 import warnings
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy import integrate
+
+from bridgefill.errors import DegenerateDataError, DomainError, TooFewPointsError
+from bridgefill.estimator import VARIANCE_WEIGHT_FLOOR
+from bridgefill.trajectory import TimedPoint, Trajectory
 
 
 def rice_mean_quadrature(a: float, b: float) -> float:
@@ -99,3 +107,87 @@ def bridge_paths_sequential(start, end, duration, sigma_m, times, noise):
             out[i, j] = px, py
             t_prev = times[j]
     return out
+
+
+@dataclass(frozen=True)
+class BridgeTriple:
+    """One (anchor, midpoint, anchor) observation triple."""
+
+    left: TimedPoint
+    mid: TimedPoint
+    right: TimedPoint
+
+    @property
+    def duration(self) -> float:
+        """Time spanned by the bridge between the two anchors."""
+        return self.right.t - self.left.t
+
+    @property
+    def mid_offset(self) -> float:
+        """Time from the left anchor to the midpoint observation."""
+        return self.mid.t - self.left.t
+
+    @property
+    def displacement(self) -> np.ndarray:
+        return np.array([self.right.x - self.left.x, self.right.y - self.left.y])
+
+    @property
+    def variance_weight(self) -> float:
+        """Midpoint variance per unit sigma_m^2: tau (T - tau) / T."""
+        tau = self.mid_offset
+        return tau * (self.duration - tau) / self.duration
+
+    @property
+    def deviation(self) -> float:
+        """Distance from the midpoint to the chord-interpolated position."""
+        frac = self.mid_offset / self.duration
+        ex = self.left.x + frac * (self.right.x - self.left.x)
+        ey = self.left.y + frac * (self.right.y - self.left.y)
+        return math.hypot(self.mid.x - ex, self.mid.y - ey)
+
+
+def extract_triples(traj: Trajectory) -> list[BridgeTriple]:
+    """Non-overlapping triples (z0,z1,z2), (z2,z3,z4), ...
+
+    A trailing point that completes no triple is dropped. Triples with a
+    degenerate variance weight are skipped. Raises TooFewPointsError below
+    three points.
+    """
+    if len(traj) < 3:
+        raise TooFewPointsError(
+            f"need at least 3 points to form a triple, got {len(traj)}"
+        )
+    triples = []
+    for i in range(0, len(traj) - 2, 2):
+        triple = BridgeTriple(traj.point(i), traj.point(i + 1), traj.point(i + 2))
+        if triple.variance_weight > VARIANCE_WEIGHT_FLOOR:
+            triples.append(triple)
+    return triples
+
+
+def log_likelihood(sigma_m: float, triples: Sequence[BridgeTriple]) -> float:
+    """Log of the product of midpoint densities under the bridge model."""
+    if not (math.isfinite(sigma_m) and sigma_m > 0.0):
+        raise DomainError(f"sigma_m must be > 0, got {sigma_m!r}")
+    if not triples:
+        raise TooFewPointsError("need at least one triple")
+    total = 0.0
+    var_scale = sigma_m * sigma_m
+    for tr in triples:
+        s2 = var_scale * tr.variance_weight
+        r = tr.deviation
+        total += -math.log(2.0 * math.pi) - math.log(s2) - r * r / (2.0 * s2)
+    return total
+
+
+def closed_form_sigma(triples: Sequence[BridgeTriple]) -> float:
+    """Analytic maximizer of the likelihood: sqrt(sum(r^2/a) / (2N)).
+
+    Raises DegenerateDataError when every midpoint sits exactly on its chord.
+    """
+    if not triples:
+        raise TooFewPointsError("need at least one triple")
+    quad = sum(tr.deviation ** 2 / tr.variance_weight for tr in triples)
+    if quad == 0.0:
+        raise DegenerateDataError("all midpoints are on their chords")
+    return math.sqrt(quad / (2.0 * len(triples)))

@@ -7,7 +7,14 @@ import pytest
 from bridgefill.cli import _detect_gap, main
 from bridgefill.errors import BridgefillError
 from bridgefill.metrics import radius_of_gyration
-from bridgefill.trajectory import Trajectory, read_trajectory_csv
+from bridgefill.trajectory import (
+    Trajectory,
+    read_trajectory_csv,
+    write_trajectory_csv,
+)
+
+from .oracles import closed_form_sigma, extract_triples
+from .test_estimator import large_step_walk
 
 GAP = ["--gap-start", "20", "--gap-count", "10"]
 
@@ -96,6 +103,16 @@ class TestFill:
         assert (summary["sigma_source"], summary["sigma_n_skipped"]) == (
             "estimated", 1)
 
+    def test_estimate_keeps_large_scale(self, tmp_path, capsys):
+        traj = large_step_walk()
+        src = tmp_path / "in.csv"
+        write_trajectory_csv(src, traj)
+        assert main(["estimate", "--in", str(src)]) == 0
+        est = json.loads(capsys.readouterr().out)
+        assert not est["clamped"]
+        assert est["sigma_hat"] == pytest.approx(
+            closed_form_sigma(extract_triples(traj)), rel=1e-12)
+
     def test_malformed_csv_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("t,x,y\n0,zero,0\n")
@@ -117,10 +134,13 @@ class TestGolden:
                      "--gap-count", "90", "--method", "bridge", "--seed", "5",
                      "--realisations", "50", "--out", str(filled)]) == 0
         assert hashlib.sha256(filled.read_bytes()).hexdigest() == (
-            "3ea2ed374590514fdad1db903178123e32bf1eb021edcc69b207d1f366f624b4")
-        rog = json.loads(capsys.readouterr().out)["rog_estimate"]
-        assert rog["mean"] == pytest.approx(27.483999943241727, rel=1e-12)
-        assert rog["std_error"] == pytest.approx(0.00715675466683201, rel=1e-12)
+            "2084a77dc79c5a668e32dcc062c0bc39af03bd90b3aa8921187c77de32591fcb")
+        summary = json.loads(capsys.readouterr().out)
+        # within the former ternary search's error of the value it returned
+        assert summary["sigma_hat"] == pytest.approx(0.3994961588486444, rel=1e-8)
+        rog = summary["rog_estimate"]
+        assert rog["mean"] == pytest.approx(27.483999943205795, rel=1e-12)
+        assert rog["std_error"] == pytest.approx(0.007156754659513178, rel=1e-12)
 
 
 def _traj(times):

@@ -5,16 +5,11 @@ import pytest
 
 from bridgefill.bridge import BridgeParams, sample_bridge
 from bridgefill.errors import DegenerateDataError, DomainError, TooFewPointsError
-from bridgefill.estimator import (
-    BridgeTriple,
-    SearchConfig,
-    closed_form_sigma,
-    estimate_sigma,
-    extract_triples,
-    log_likelihood,
-)
+from bridgefill.estimator import SIGMA_FLOOR, estimate_sigma
 from bridgefill.seeding import make_rng
 from bridgefill.trajectory import TimedPoint, build_trajectory
+
+from .oracles import BridgeTriple, closed_form_sigma, extract_triples, log_likelihood
 
 
 def triple(points):
@@ -26,6 +21,12 @@ def random_trajectory(rng, n_points=None, scale=1.0):
     times = np.cumsum(rng.uniform(0.5, 2.0, n))
     coords = scale * rng.standard_normal((n, 2)).cumsum(axis=0)
     return build_trajectory(np.column_stack([times, coords]))
+
+
+def large_step_walk():
+    """501 points, unit times, N(0, 1e5) steps from default_rng(0)."""
+    coords = np.random.default_rng(0).normal(0.0, 1e5, (501, 2)).cumsum(axis=0)
+    return build_trajectory(np.column_stack([np.arange(501.0), coords]))
 
 
 def bridge_trajectory(sigma, duration, end, seed, n_interior):
@@ -135,7 +136,7 @@ class TestEstimateSigma:
             traj = random_trajectory(rng)
             est = estimate_sigma(traj)
             oracle = closed_form_sigma(extract_triples(traj))
-            assert abs(est.sigma_m - oracle) / oracle < 1e-6
+            assert abs(est.sigma_m - oracle) / oracle < 1e-12
             assert not est.clamped
             assert est.n_triples == len(extract_triples(traj))
 
@@ -147,7 +148,7 @@ class TestEstimateSigma:
         est = estimate_sigma(traj)
         assert (est.n_triples, est.n_skipped) == (1, 1)
         assert est.sigma_m == pytest.approx(
-            closed_form_sigma(extract_triples(traj)), rel=1e-6)
+            closed_form_sigma(extract_triples(traj)), rel=1e-12)
         assert estimate_sigma(random_trajectory(make_rng(3))).n_skipped == 0
 
     def test_loglik_field_consistent(self):
@@ -161,31 +162,23 @@ class TestEstimateSigma:
         traj = build_trajectory([(t, 2.0 * t, t) for t in range(9)])
         est = estimate_sigma(traj)
         assert est.clamped
-        assert est.sigma_m == pytest.approx(SearchConfig().sigma_min, rel=1e-5)
-
-    def test_clamps_at_upper_bound(self):
-        traj = random_trajectory(make_rng(5), n_points=15, scale=1.0)
-        est = estimate_sigma(traj, SearchConfig(sigma_min=1e-6, sigma_max=1e-4))
-        assert est.clamped
-        assert est.sigma_m == pytest.approx(1e-4, rel=1e-5)
+        assert est.sigma_m == SIGMA_FLOOR
+        assert math.isfinite(est.log_likelihood_at_max)
 
     def test_translation_and_rotation_invariance(self):
-        # tolerance is a few times the ternary search bracket width: the
-        # transformed coordinates are perturbed in their last ulps, which
-        # moves the bracket endpoints
         traj = random_trajectory(make_rng(21), n_points=25)
         base = estimate_sigma(traj).sigma_m
         shifted = build_trajectory(
             np.column_stack([traj.times, traj.coords + [123.0, -456.0]])
         )
-        assert estimate_sigma(shifted).sigma_m == pytest.approx(base, rel=1e-7)
+        assert estimate_sigma(shifted).sigma_m == pytest.approx(base, rel=1e-12)
         phi = 0.7
         rot = np.array([[math.cos(phi), -math.sin(phi)],
                         [math.sin(phi), math.cos(phi)]])
         rotated = build_trajectory(
             np.column_stack([traj.times, traj.coords @ rot.T])
         )
-        assert estimate_sigma(rotated).sigma_m == pytest.approx(base, rel=1e-7)
+        assert estimate_sigma(rotated).sigma_m == pytest.approx(base, rel=1e-12)
 
     def test_time_rescaling(self):
         traj = random_trajectory(make_rng(13), n_points=25)
@@ -195,7 +188,7 @@ class TestEstimateSigma:
                 np.column_stack([c * traj.times, traj.coords])
             )
             assert estimate_sigma(stretched).sigma_m == pytest.approx(
-                base / math.sqrt(c), rel=1e-6
+                base / math.sqrt(c), rel=1e-12
             )
 
     def test_recovers_generating_coefficient(self):
@@ -212,8 +205,18 @@ class TestEstimateSigma:
         with pytest.raises(TooFewPointsError):
             estimate_sigma(build_trajectory([(0, 0, 0), (1, 1, 1)]))
 
-    def test_search_config_validation(self):
-        with pytest.raises(DomainError):
-            SearchConfig(sigma_min=1.0, sigma_max=0.5)
-        with pytest.raises(DomainError):
-            SearchConfig(tolerance=0.0)
+    def test_only_triple_degenerate(self):
+        # the midpoint sits 1e-13 after its left anchor, so the one triple
+        # has a variance weight below VARIANCE_WEIGHT_FLOOR
+        traj = build_trajectory([(0, 0, 0), (1e-13, 1, 1), (1, 2, 2)])
+        with pytest.raises(TooFewPointsError, match="no usable triple"):
+            estimate_sigma(traj)
+
+    def test_large_steps_not_clamped(self):
+        # the estimate has no upper bound: it keeps the units of the data
+        traj = large_step_walk()
+        est = estimate_sigma(traj)
+        oracle = closed_form_sigma(extract_triples(traj))
+        assert oracle == pytest.approx(1.0018e5, rel=1e-3)
+        assert est.sigma_m == pytest.approx(oracle, rel=1e-12)
+        assert not est.clamped
