@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -100,3 +101,49 @@ def test_summary_statistics_skip_non_finite_values():
     assert cell["count"] == 2
     assert cell["mean_error"] == 3.0
     assert cell["quartiles"] == [2.5, 3.0, 3.5]
+
+
+# sha256 of the reports at the default master seed, 3 replicates.
+GOLDEN = {
+    "path-length": (
+        default_config("path-length", replicates=3),
+        "1c816e48c5f1f0f6350c17e86601d557b72f150e20fe65a4357aeeec5520505e",
+        "ec57b48444963e1804bdd738010c6af773fdbb325e6d1c6114bee768073d1033",
+    ),
+    "rog-loop": (
+        default_config("rog", replicates=3),
+        "89675a3b1d2b67dfdd99e1d7b78ebeea7aa6591255a027973add875f6aaa3eb8",
+        "9abd7eb20b872f98f62fee55a2ce196d80591041326f9e260e85ecdb6da6db03",
+    ),
+    "rog-gap": (
+        dataclasses.replace(default_config("rog", replicates=3), fill_anchors="gap"),
+        "4dd63ff5726b06c4bd17fbcbf1aa96d65013b22eee2139ded58846e489e910b4",
+        "9082fba530b8b1273884d86e34a4f13390a50464218f5b35fe8f5dfafc55fbe8",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_reports(name, tmp_path):
+    config, records_sha, summary_sha = GOLDEN[name]
+    report = run_experiment(config)
+    records, summary = tmp_path / "records.csv", tmp_path / "summary.json"
+    write_records_csv(report, records)
+    write_summary_json(report, summary)
+    assert hashlib.sha256(records.read_bytes()).hexdigest() == records_sha
+    assert hashlib.sha256(summary.read_bytes()).hexdigest() == summary_sha
+
+
+def test_bridge_length_is_unbiased_on_brownian_cells():
+    # The paper's claim on the four discrete-brownian cells: the bridge's
+    # mean length ratio is 1 within 4 standard errors, while the straight
+    # line falls short of it.
+    config = default_config("path-length", replicates=50)
+    config = dataclasses.replace(config, models=config.models[:4])
+    cells = run_experiment(config).summary["cells"]
+    for bridge, linear in zip(cells[::2], cells[1::2]):
+        assert (bridge["method"], linear["method"]) == ("bridge", "linear")
+        assert bridge["model"]["model"] == "discrete-brownian"
+        se = bridge["std_dev"] / math.sqrt(bridge["count"])
+        assert abs(bridge["mean_error"] - 1.0) <= 4.0 * se, bridge["params"]
+        assert linear["mean_error"] < bridge["mean_error"], bridge["params"]
