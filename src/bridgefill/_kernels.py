@@ -1,4 +1,4 @@
-"""Hot numeric kernels, in plain numpy.
+"""Hot numeric kernels, in plain numpy, each over a batch of m paths.
 
 All kernels consume pre-drawn random variates; the generators stay with the
 callers, so a seed means the same draws whatever the kernel does with them.
@@ -14,73 +14,95 @@ import numpy as np
 BACKEND = "numpy"
 
 
-def bridge_paths(sx, sy, ex, ey, duration, sigma_m, times, noise):
-    """Bridges from (sx, sy) at 0 to (ex, ey) at ``duration`` at the
+def bridge_paths(start, end, duration, sigma_m, times, noise):
+    """Bridges from ``start`` at 0 to ``end`` at ``duration`` at the
     interior ``times`` (k,), driven by standard normals ``noise`` (m, k, 2);
-    returns (m, k, 2) positions.
+    returns (m, k, 2) positions. ``start`` and ``end`` are one (2,) point
+    or one per path, (m, 2); ``sigma_m`` is a scalar or one per path, (m,).
 
     Closed form of sequential conditioning on the previous point and the
     endpoint: the deviation from the chord at t_j is
     (T - t_j) * sum_{i<=j} sd_i n_i / (T - t_i), with sd_i the conditional
     standard deviation of step i. ``noise`` is read, never written.
     """
+    start = np.asarray(start, dtype=float)[..., None, :]
+    end = np.asarray(end, dtype=float)[..., None, :]
     dt = np.diff(times, prepend=0.0)
     rest = duration - times
-    sd = sigma_m * np.sqrt(dt * rest / (rest + dt))
-    out = noise * (sd / rest)[:, None]
+    sd = np.asarray(sigma_m, dtype=float)[..., None] * np.sqrt(dt * rest / (rest + dt))
+    out = noise * (sd / rest)[..., None]
     np.cumsum(out, axis=1, out=out)
     out *= rest[:, None]
-    out += np.array([sx, sy]) + np.outer(times / duration, [ex - sx, ey - sy])
+    out += start + (times / duration)[:, None] * (end - start)
     return out
 
 
+def _since_last(flags):
+    """Index of the latest True in ``flags`` (m, steps) at or before each
+    step, -1 before the first."""
+    idx = np.where(flags, np.arange(flags.shape[1]), -1)
+    return np.maximum.accumulate(idx, axis=1)
+
+
+def _at(values, index, before):
+    """``values`` (m, steps) at ``index`` (m, steps), and ``before`` (a
+    scalar or one per path, (m,)) where the index is -1."""
+    got = np.take_along_axis(values, np.maximum(index, 0), axis=1)
+    return np.where(index >= 0, got, np.reshape(before, (-1, 1)))
+
+
 def run_tumble_angles(theta0, tumble, fresh):
-    """Heading after each step: ``theta0`` until the first nonzero
-    ``tumble`` flag, then the ``fresh`` angle drawn at the latest tumble."""
-    steps = tumble.shape[0]
-    idx = np.where(tumble != 0, np.arange(steps), -1)
-    last = np.maximum.accumulate(idx)
-    return np.where(last >= 0, fresh[np.maximum(last, 0)], theta0)
+    """Heading after each step, (m, steps): ``theta0`` (m,) until the first
+    nonzero ``tumble`` flag, then the ``fresh`` angle drawn at the latest
+    tumble."""
+    return _at(fresh, _since_last(tumble != 0), theta0)
+
+
+# Heading h moves by (_DX[h], _DY[h]) steps: east, north, west, south.
+_DX = np.array([1.0, 0.0, -1.0, 0.0])
+_DY = np.array([0.0, 1.0, 0.0, -1.0])
 
 
 def internal_state_positions(heading0, step, c_keep, c_left, c_right,
                              c_reverse, c_remain, action_u, dir_u):
-    # Grid walk driven by a two-state (moving/stationary) transition table.
-    # c_* are cumulative probability thresholds; action_u/dir_u are uniform
-    # draws in [0, 1). Starts moving with the given heading. Returns the
-    # (steps, 2) positions after each step.
-    steps = action_u.shape[0]
-    out = np.empty((steps, 2))
-    x = 0.0
-    y = 0.0
-    moving = True
-    h = heading0
-    for j in range(steps):
-        u = action_u[j]
-        if moving:
-            if u < c_keep:
-                pass
-            elif u < c_left:
-                h = (h + 1) % 4
-            elif u < c_right:
-                h = (h + 3) % 4
-            elif u < c_reverse:
-                h = (h + 2) % 4
-            else:
-                moving = False
-        else:
-            if u >= c_remain:
-                moving = True
-                h = int(dir_u[j] * 4.0)
-        if moving:
-            if h == 0:
-                x = x + step
-            elif h == 1:
-                y = y + step
-            elif h == 2:
-                x = x - step
-            else:
-                y = y - step
-        out[j, 0] = x
-        out[j, 1] = y
+    """Grid walks driven by a two-state (moving/stationary) transition
+    table; returns the (m, steps, 2) positions after each step.
+
+    ``heading0`` (m,) is each walk's starting heading (0..3, east first,
+    counter-clockwise); every walk starts moving. ``c_*`` are cumulative
+    probability thresholds on the uniform draws ``action_u`` (m, steps): a
+    moving walker keeps its heading below ``c_keep``, turns left below
+    ``c_left``, right below ``c_right``, reverses below ``c_reverse`` and
+    stops otherwise; a stationary one stays below ``c_remain`` and otherwise
+    starts moving in the new heading ``int(4 * dir_u)``.
+
+    Without a loop: each step maps the state (moving or not) by identity,
+    swap or reset, so the state is the latest reset's value flipped by the
+    parity of swaps since it. The heading restarts at each start and
+    otherwise adds the turns taken while moving, modulo 4.
+    """
+    m, steps = action_u.shape
+    keeps_moving = action_u < c_reverse
+    starts_moving = action_u >= c_remain
+    reset = keeps_moving == starts_moving
+    swaps = np.cumsum(~keeps_moving & starts_moving, axis=1)
+    last_reset = _since_last(reset)
+    parity = (swaps - _at(swaps, last_reset, 0)) % 2 == 1
+    moving = _at(keeps_moving, last_reset, True) ^ parity
+    was_moving = np.ones_like(moving)
+    was_moving[:, 1:] = moving[:, :-1]
+
+    turn = np.select(
+        [action_u < c_keep, action_u < c_left, action_u < c_right,
+         action_u < c_reverse],
+        [0, 1, 3, 2], 0)
+    turns = np.cumsum(np.where(was_moving, turn, 0), axis=1)
+    started = ~was_moving & starts_moving
+    last_start = _since_last(started)
+    base = _at((dir_u * 4.0).astype(np.int64), last_start, heading0)
+    heading = (base + turns - _at(turns, last_start, 0)) % 4
+
+    out = np.empty((m, steps, 2))
+    np.cumsum(np.where(moving, step * _DX[heading], 0.0), axis=1, out=out[..., 0])
+    np.cumsum(np.where(moving, step * _DY[heading], 0.0), axis=1, out=out[..., 1])
     return out

@@ -92,8 +92,7 @@ def sample_bridge(
     rng = make_rng(rng)
     noise = rng.standard_normal((1, len(times), 2))
     paths = _kernels.bridge_paths(
-        params.start[0], params.start[1], params.end[0], params.end[1],
-        params.duration, params.sigma_m, times, noise,
+        params.start, params.end, params.duration, params.sigma_m, times, noise,
     )
     return paths[0]
 
@@ -113,8 +112,7 @@ def sample_bridge_many(
     rng = make_rng(rng)
     noise = rng.standard_normal((n_paths, len(times), 2))
     return _kernels.bridge_paths(
-        params.start[0], params.start[1], params.end[0], params.end[1],
-        params.duration, params.sigma_m, times, noise,
+        params.start, params.end, params.duration, params.sigma_m, times, noise,
     )
 
 

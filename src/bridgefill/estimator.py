@@ -51,25 +51,39 @@ class SigmaEstimate:
     n_skipped: int = 0
 
 
-def _stats(traj: Trajectory) -> tuple[int, int, float, float]:
+def _stats(times: np.ndarray, coords: np.ndarray) -> tuple[int, int, float, np.ndarray]:
     """(n_kept, n_skipped, sum log a_k, sum r_k^2 / a_k) over the triples
-    (z0,z1,z2), (z2,z3,z4), ...; a trailing point completing none is
-    dropped."""
-    t = traj.times
-    xy = traj.coords
-    n_pairs = (len(t) - 1) // 2
-    li = np.arange(n_pairs) * 2
-    spans = t[li + 2] - t[li]
-    taus = t[li + 1] - t[li]
+    (z0,z1,z2), (z2,z3,z4), ... of m paths sampled at the same ``times``
+    (n,), ``coords`` (m, n, 2); a trailing point completing none is dropped.
+    The last sum has one entry per path. Raises TooFewPointsError when no
+    triple is kept."""
+    n_pairs = (len(times) - 1) // 2
+    left, mid, right = (np.s_[i:i + 2 * n_pairs:2] for i in range(3))
+    t0, t1, t2 = times[left], times[mid], times[right]
+    z0, z1, z2 = coords[:, left], coords[:, mid], coords[:, right]
+    spans = t2 - t0
+    taus = t1 - t0
     weights = taus * (spans - taus) / spans
-    frac = taus / spans
-    expect = xy[li] + frac[:, None] * (xy[li + 2] - xy[li])
-    dev_sq = ((xy[li + 1] - expect) ** 2).sum(axis=1)
+    expect = z0 + (taus / spans)[:, None] * (z2 - z0)
+    dev_sq = ((z1 - expect) ** 2).sum(axis=2)
     keep = weights > VARIANCE_WEIGHT_FLOOR
     n_kept = int(keep.sum())
+    if n_kept == 0:
+        raise TooFewPointsError("trajectory yields no usable triple")
     sum_log_a = float(np.log(weights[keep]).sum())
-    quad = float((dev_sq[keep] / weights[keep]).sum())
+    # A row reduced as one contiguous run takes numpy's pairwise sum of a
+    # 1-D array, so each path's sum equals its one-path value; a strided
+    # layout would sum in another order.
+    quad = np.ascontiguousarray(dev_sq[:, keep] / weights[keep]).sum(axis=1)
     return n_kept, n_pairs - n_kept, sum_log_a, quad
+
+
+def estimate_sigmas(times: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """``estimate_sigma(...).sigma_m`` of m paths sampled at the same
+    ``times`` (n,), ``coords`` (m, n, 2); returns (m,), equal bit for bit to
+    the one-path estimates."""
+    n_kept, _, _, quad = _stats(times, coords)
+    return np.maximum(np.sqrt(quad / (2.0 * n_kept)), SIGMA_FLOOR)
 
 
 def estimate_sigma(traj: Trajectory) -> SigmaEstimate:
@@ -80,9 +94,8 @@ def estimate_sigma(traj: Trajectory) -> SigmaEstimate:
     fewer than three points or every triple has a degenerate variance
     weight.
     """
-    n_kept, n_skipped, sum_log_a, quad = _stats(traj)
-    if n_kept == 0:
-        raise TooFewPointsError("trajectory yields no usable triple")
+    n_kept, n_skipped, sum_log_a, quads = _stats(traj.times, traj.coords[None])
+    quad = float(quads[0])
     mle = math.sqrt(quad / (2.0 * n_kept))
     sigma = max(mle, SIGMA_FLOOR)
     log_lik = (-n_kept * _LOG_2PI - sum_log_a - 2.0 * n_kept * math.log(sigma)

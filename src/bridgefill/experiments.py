@@ -15,20 +15,29 @@ Two experiment kinds are built in:
   after; the linear fill is scored on the same generated path. Models:
   fixed-velocity v=1, angular-walk sigma=0.1, run-tumble l=1.
 
-``fill_anchors`` is passed to ``gapfill.fill_gap`` as its ``anchors``:
-``gap`` pins the replacement segment across the gap's own endpoints,
+``fill_anchors`` anchors the fills as ``gapfill.fill_gap``'s ``anchors``
+does: ``gap`` pins the replacement segment across the gap's own endpoints,
 ``loop`` pins it from the final observed point back to the gap's right
 anchor, so a leading gap is replaced by an excursion that closes the
 observed remainder into a loop. The rog experiment defaults to ``loop``
 (its reference summary statistics correspond to that anchoring); the
 path-length experiment uses ``gap``.
 
-Every replicate derives its streams from the master seed via
-``child_seed(master, cell_index, replicate, purpose)`` with purpose 0 for
-path generation and 1 for the fill, so reports are byte-identical across
-reruns and independent of execution order. Summaries embed the seed, the
-model grid, and the package version. Each summary cell's statistics cover
-the finite values only, and ``count`` says how many there were: a
+Each (model, replicates) cell runs as arrays, one row per replicate, in
+blocks that bound memory: one generator call builds the block's paths,
+excision is slicing at fixed indices, one estimator call fits every row,
+and for ``rog`` one kernel call builds both fills of every replicate (the
+straight line being the bridge with sigma 0). Every row equals what the
+single-path functions give for that replicate, bit for bit.
+
+Every replicate still derives its own streams from the master seed via
+``child_seed(master, cell_index, replicate, purpose)`` and draws from them
+in the single-path order, so a record's ``seed`` regenerates its path with
+``generators.generate``. Purpose 0 generates the path; only ``rog`` derives
+purpose 1, for its bridge fill. Reports are byte-identical across reruns
+and independent of how replicates are blocked. Summaries embed the seed,
+the model grid, and the package version. Each summary cell's statistics
+cover the finite values only, and ``count`` says how many there were: a
 path-length replicate whose true gap length is 0 keeps its ``inf`` ratio in
 the records but not in the summary.
 """
@@ -42,21 +51,26 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _kernels
 from ._kernels import BACKEND
 from ._version import __version__
+from .bridge import expected_path_length
 from .errors import InvalidSpecError
-from .estimator import estimate_sigma
-from .gapfill import ANCHOR_MODES, METHODS, estimate_gap_length, fill_gap
-from .generators import ModelSpec, generate, spec_from_dict, spec_to_dict
-from .metrics import gap_metrics, path_length
-from .seeding import child_seed
-from .trajectory import excise_gap, splice_fill
+from .estimator import estimate_sigmas
+from .gapfill import ANCHOR_MODES, METHODS
+from .generators import ModelSpec, generate_many, spec_from_dict, spec_to_dict
+from .metrics import path_lengths, radii_of_gyration
+from .seeding import child_seed, make_rng
 
 PATH_LENGTH_KIND = "path-length"
 ROG_KIND = "rog"
 KINDS = (PATH_LENGTH_KIND, ROG_KIND)
 
 DEFAULT_MASTER_SEED = 20260301
+
+# Path points held per block of replicates: a rog block of about 130
+# 1000-point replicates keeps its largest arrays near 4 MB each.
+_BLOCK_POINTS = 1 << 17
 
 _RECORD_COLUMNS = {
     PATH_LENGTH_KIND: (
@@ -138,24 +152,35 @@ def default_config(
     raise InvalidSpecError(f"kind must be one of {KINDS}, got {kind!r}")
 
 
+def _pop_int(data: dict, key: str, default: int) -> int:
+    value = data.pop(key, default)
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not float(value).is_integer()):
+        raise InvalidSpecError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build a configuration from a JSON-compatible mapping.
 
     Unspecified fields fall back to the defaults of the requested kind.
+    Raises InvalidSpecError on a field of the wrong type, a fractional
+    count or a model that is not a mapping.
     """
     data = dict(data)
     kind = data.pop("kind", None)
     base = default_config(
         kind,
-        replicates=int(data.pop("replicates", 1000)),
-        master_seed=int(data.pop("master_seed", DEFAULT_MASTER_SEED)),
+        replicates=_pop_int(data, "replicates", 1000),
+        master_seed=_pop_int(data, "master_seed", DEFAULT_MASTER_SEED),
     )
     models = data.pop("models", None)
+    if models is not None and not isinstance(models, list):
+        raise InvalidSpecError(f"models must be a list, got {models!r}")
     fill_anchors = data.pop("fill_anchors", base.fill_anchors)
-    overrides = {}
-    for key in ("steps", "gap_start", "gap_count"):
-        if key in data:
-            overrides[key] = int(data.pop(key))
+    steps = _pop_int(data, "steps", base.steps)
+    gap_start = _pop_int(data, "gap_start", base.gap_start)
+    gap_count = _pop_int(data, "gap_count", base.gap_count)
     if data:
         raise InvalidSpecError(f"unknown config field(s): {sorted(data)}")
     return ExperimentConfig(
@@ -165,9 +190,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             if models is not None
             else base.models
         ),
-        steps=overrides.get("steps", base.steps),
-        gap_start=overrides.get("gap_start", base.gap_start),
-        gap_count=overrides.get("gap_count", base.gap_count),
+        steps=steps,
+        gap_start=gap_start,
+        gap_count=gap_count,
         replicates=base.replicates,
         master_seed=base.master_seed,
         fill_anchors=fill_anchors,
@@ -200,46 +225,84 @@ def _params_label(spec: ModelSpec) -> str:
     return ";".join(f"{k}={d[k]:g}" for k in sorted(d))
 
 
-def _run_replicate(config: ExperimentConfig, cell: int, rep: int,
-                   spec: ModelSpec) -> list[dict]:
-    path_seed = child_seed(config.master_seed, cell, rep, 0)
-    fill_seed = child_seed(config.master_seed, cell, rep, 1)
-    traj = generate(spec, config.steps, path_seed)
-    gapped = excise_gap(traj, config.gap_start, config.gap_count)
-    est = estimate_sigma(gapped.observed())
-    base = {
-        "model": spec_to_dict(spec)["model"],
-        "params": _params_label(spec),
-        "replicate": rep,
-        "seed": path_seed,
-        "sigma_hat": est.sigma_m,
-    }
-    records = []
+def _ratios(estimated: np.ndarray, true: np.ndarray) -> np.ndarray:
+    """``estimated / true``; 1 where both are 0 and inf where only ``true``
+    is."""
+    out = np.where(estimated == 0.0, 1.0, math.inf)
+    np.divide(estimated, true, out=out, where=true > 0.0)
+    return out
+
+
+def _run_block(config: ExperimentConfig, cell: int, spec: ModelSpec,
+               reps: range) -> dict[str, dict[str, np.ndarray]]:
+    """Replicates ``reps`` of one cell as arrays, one row per replicate:
+    per method, the record columns from ``seed`` on, ``method`` aside."""
+    seeds = [child_seed(config.master_seed, cell, rep, 0) for rep in reps]
+    coords = generate_many(spec, config.steps, seeds)
+    times = np.arange(config.steps + 1, dtype=float)
+    left, right = config.gap_start - 1, config.gap_start + config.gap_count
+    sigma = estimate_sigmas(
+        np.concatenate([times[:left + 1], times[right:]]),
+        np.concatenate([coords[:, :left + 1], coords[:, right:]], axis=1),
+    )
+    duration = times[right] - times[left]
+    shared = {"seed": np.array(seeds, dtype=np.uint64), "sigma_hat": sigma}
+
     if config.kind == PATH_LENGTH_KIND:
-        i_left = config.gap_start - 1
-        i_right = config.gap_start + config.gap_count
-        true_length = path_length(traj.segment(i_left, i_right + 1))
-        chord = float(np.hypot(*gapped.chord))
-        expected = estimate_gap_length(gapped, est.sigma_m)
-        for method, estimated in (("bridge", expected), ("linear", chord)):
-            ratio = estimated / true_length if true_length > 0.0 else (
-                1.0 if estimated == 0.0 else math.inf
-            )
-            records.append({
-                **base, "method": method, "true_length": true_length,
-                "estimated_length": estimated, "length_ratio": ratio,
-            })
-    else:
-        for method in METHODS:
-            fill = fill_gap(gapped, method, est.sigma_m, fill_seed,
-                            config.fill_anchors)
-            spliced = splice_fill(gapped, fill, method)
-            m = gap_metrics(traj, gapped, spliced)
-            records.append({
-                **base, "method": method, "rog_before": m.rog_before,
-                "rog_after": m.rog_after, "rog_error": m.rog_error,
-            })
-    return records
+        true_length = path_lengths(coords[:, left:right + 1])
+        chord = coords[:, right] - coords[:, left]
+        estimates = {
+            "bridge": np.array([
+                expected_path_length(s, duration, d, config.gap_count + 1)
+                for s, d in zip(sigma.tolist(), chord.tolist())
+            ]),
+            "linear": np.hypot(chord[:, 0], chord[:, 1]),
+        }
+        return {
+            method: {**shared, "true_length": true_length, "estimated_length": est,
+                     "length_ratio": _ratios(est, true_length)}
+            for method, est in estimates.items()
+        }
+
+    # Both fills of every replicate in one kernel call, bridges first: a
+    # bridge draws from its replicate's own fill stream, and the straight
+    # line is the bridge with sigma 0.
+    m, k = len(seeds), config.gap_count
+    noise = np.zeros((2 * m, k, 2))
+    for i, rep in enumerate(reps):
+        rng = make_rng(child_seed(config.master_seed, cell, rep, 1))
+        rng.standard_normal(out=noise[i])
+    start = coords[:, -1 if config.fill_anchors == "loop" else left]
+    end = coords[:, right]
+    filled = np.concatenate([coords, coords])
+    filled[:, left + 1:right] = _kernels.bridge_paths(
+        np.concatenate([start, start]), np.concatenate([end, end]), duration,
+        np.concatenate([sigma, np.zeros(m)]), times[left + 1:right] - times[left],
+        noise,
+    )
+    rog_before = radii_of_gyration(coords)
+    rog_after = radii_of_gyration(filled)
+    return {
+        method: {**shared, "rog_before": rog_before, "rog_after": after,
+                 "rog_error": _ratios(after, rog_before)}
+        for method, after in (("bridge", rog_after[:m]), ("linear", rog_after[m:]))
+    }
+
+
+def _run_cell(config: ExperimentConfig, cell: int,
+              spec: ModelSpec) -> dict[str, dict[str, np.ndarray]]:
+    """All replicates of one cell, in blocks of about ``_BLOCK_POINTS``
+    path points, so memory stays bounded however many replicates run."""
+    block = max(1, _BLOCK_POINTS // (config.steps + 1))
+    parts = [
+        _run_block(config, cell, spec, range(lo, min(lo + block, config.replicates)))
+        for lo in range(0, config.replicates, block)
+    ]
+    return {
+        method: {name: np.concatenate([p[method][name] for p in parts])
+                 for name in parts[0][method]}
+        for method in METHODS
+    }
 
 
 def _statistics(values: np.ndarray) -> dict:
@@ -266,10 +329,10 @@ def _statistics(values: np.ndarray) -> dict:
     }
 
 
-def _summarise_cell(kind: str, records: list[dict], spec: ModelSpec,
-                    method: str) -> dict:
+def _summarise_cell(kind: str, spec: ModelSpec, method: str,
+                    columns: dict[str, np.ndarray]) -> dict:
     value_key = "length_ratio" if kind == PATH_LENGTH_KIND else "rog_error"
-    values = np.array([r[value_key] for r in records])
+    values = columns[value_key]
     values = values[np.isfinite(values)]
     cell = {
         "model": spec_to_dict(spec),
@@ -279,12 +342,8 @@ def _summarise_cell(kind: str, records: list[dict], spec: ModelSpec,
         **_statistics(values),
     }
     if kind == ROG_KIND:
-        cell["mean_rog_before"] = math.fsum(
-            r["rog_before"] for r in records
-        ) / len(records)
-        cell["mean_rog_after"] = math.fsum(
-            r["rog_after"] for r in records
-        ) / len(records)
+        for key in ("rog_before", "rog_after"):
+            cell[f"mean_{key}"] = math.fsum(columns[key]) / len(columns[key])
         histogram: dict[str, int] = {}
         for v in values:
             key = f"{round(v, 1):.1f}"
@@ -302,13 +361,19 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     records: list[dict] = []
     cells = []
     for cell_index, spec in enumerate(config.models):
-        cell_records: list[dict] = []
+        columns = _run_cell(config, cell_index, spec)
+        rows = {
+            method: [dict(zip(cols, row))
+                     for row in zip(*(col.tolist() for col in cols.values()))]
+            for method, cols in columns.items()
+        }
+        base = {"model": spec_to_dict(spec)["model"], "params": _params_label(spec)}
         for rep in range(config.replicates):
-            cell_records.extend(_run_replicate(config, cell_index, rep, spec))
-        for method in METHODS:
-            by_method = [r for r in cell_records if r["method"] == method]
-            cells.append(_summarise_cell(config.kind, by_method, spec, method))
-        records.extend(cell_records)
+            for method in METHODS:
+                records.append({**base, "replicate": rep, "method": method,
+                                **rows[method][rep]})
+        cells.extend(_summarise_cell(config.kind, spec, method, columns[method])
+                     for method in METHODS)
     summary = {
         "kind": config.kind,
         "config": config_to_dict(config),

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -203,70 +203,91 @@ def effective_state_probs(
     )
 
 
-def _walk_from_steps(step_xy: np.ndarray, steps: int) -> Trajectory:
-    coords = np.zeros((steps + 1, 2))
-    np.cumsum(step_xy, axis=0, out=coords[1:])
-    return Trajectory(np.arange(steps + 1, dtype=float), coords)
+def _walk(step_xy: np.ndarray) -> np.ndarray:
+    """Positions (m, steps + 1, 2) from the origin along ``step_xy``
+    (m, steps, 2)."""
+    m, steps, _ = step_xy.shape
+    coords = np.zeros((m, steps + 1, 2))
+    np.cumsum(step_xy, axis=1, out=coords[:, 1:])
+    return coords
 
 
-def generate(spec: ModelSpec, steps: int, seed: int) -> Trajectory:
+def _heading_walk(v: float, theta: np.ndarray) -> np.ndarray:
+    return _walk(v * np.stack([np.cos(theta), np.sin(theta)], axis=-1))
+
+
+def _stack(draws) -> list[np.ndarray]:
+    """Each field of per-path ``draws`` tuples, stacked over the paths."""
+    return [np.array(field) for field in zip(*draws)]
+
+
+def generate_many(
+    spec: ModelSpec,
+    steps: int,
+    seeds: Sequence[int | np.random.Generator],
+) -> np.ndarray:
+    """Simulate one path per seed (at least one); returns positions
+    (len(seeds), steps + 1, 2) at times 0..steps, each starting at the
+    origin.
+
+    Row i consumes only ``seeds[i]``'s stream, in the documented order, so
+    it equals ``generate(spec, steps, seeds[i]).coords`` bit for bit.
+    """
+    if not isinstance(steps, (int, np.integer)) or steps < 1:
+        raise InvalidSpecError(f"steps must be an integer >= 1, got {steps!r}")
+    steps = int(steps)
+    rngs = [make_rng(seed) for seed in seeds]
+
+    if isinstance(spec, DiscreteBrownian):
+        incr = spec.sigma * np.array([rng.standard_normal((steps, 2)) for rng in rngs])
+        walk = _walk(incr)
+        if spec.target is None:
+            return walk
+        frac = (np.arange(steps + 1, dtype=float) / steps)[:, None]
+        return frac * np.asarray(spec.target) + (walk - frac * walk[:, -1:])
+
+    if isinstance(spec, FixedVelocity):
+        theta = np.array([rng.uniform(0.0, _TWO_PI, steps) for rng in rngs])
+        return _heading_walk(spec.v, theta)
+
+    if isinstance(spec, AngularWalk):
+        theta0, noise = _stack(
+            (rng.uniform(0.0, _TWO_PI), rng.standard_normal(steps)) for rng in rngs)
+        theta = theta0[:, None] + np.cumsum(spec.sigma * noise, axis=1)
+        return _heading_walk(spec.v, theta)
+
+    if isinstance(spec, RunTumble):
+        p_tumble = 1.0 - math.exp(-spec.rate)
+        theta0, tumble, fresh = _stack(
+            (rng.uniform(0.0, _TWO_PI), rng.random(steps) < p_tumble,
+             rng.uniform(0.0, _TWO_PI, steps)) for rng in rngs)
+        return _heading_walk(
+            spec.v, _kernels.run_tumble_angles(theta0, tumble, fresh))
+
+    if isinstance(spec, InternalStateWalk):
+        moving, stationary = effective_state_probs(spec.table, spec.uniformity)
+        c = np.cumsum(moving)
+        heading0, action_u, dir_u = _stack(
+            (int(rng.random() * 4.0), rng.random(steps), rng.random(steps))
+            for rng in rngs)
+        coords = np.zeros((len(rngs), steps + 1, 2))
+        coords[:, 1:] = _kernels.internal_state_positions(
+            heading0, spec.step, c[0], c[1], c[2], c[3], stationary[0],
+            action_u, dir_u,
+        )
+        return coords
+
+    raise InvalidSpecError(f"unknown model spec {spec!r}")
+
+
+def generate(spec: ModelSpec, steps: int, seed: int | np.random.Generator) -> Trajectory:
     """Simulate ``steps`` unit time steps of the given movement process.
 
     Returns a trajectory of ``steps + 1`` points at times 0..steps starting
     at the origin; identical output for identical (spec, steps, seed).
     """
-    if not isinstance(steps, (int, np.integer)) or steps < 1:
-        raise InvalidSpecError(f"steps must be an integer >= 1, got {steps!r}")
-    steps = int(steps)
-    rng = make_rng(seed)
-
-    if isinstance(spec, DiscreteBrownian):
-        incr = spec.sigma * rng.standard_normal((steps, 2))
-        if spec.target is None:
-            return _walk_from_steps(incr, steps)
-        walk = np.zeros((steps + 1, 2))
-        np.cumsum(incr, axis=0, out=walk[1:])
-        frac = (np.arange(steps + 1, dtype=float) / steps)[:, None]
-        coords = frac * np.asarray(spec.target) + (walk - frac * walk[-1])
-        return Trajectory(np.arange(steps + 1, dtype=float), coords)
-
-    if isinstance(spec, FixedVelocity):
-        theta = rng.uniform(0.0, _TWO_PI, steps)
-        return _walk_from_steps(
-            spec.v * np.column_stack([np.cos(theta), np.sin(theta)]), steps
-        )
-
-    if isinstance(spec, AngularWalk):
-        theta0 = rng.uniform(0.0, _TWO_PI)
-        theta = theta0 + np.cumsum(spec.sigma * rng.standard_normal(steps))
-        return _walk_from_steps(
-            spec.v * np.column_stack([np.cos(theta), np.sin(theta)]), steps
-        )
-
-    if isinstance(spec, RunTumble):
-        theta0 = rng.uniform(0.0, _TWO_PI)
-        p_tumble = 1.0 - math.exp(-spec.rate)
-        tumble = (rng.random(steps) < p_tumble).astype(np.uint8)
-        fresh = rng.uniform(0.0, _TWO_PI, steps)
-        theta = _kernels.run_tumble_angles(theta0, tumble, fresh)
-        return _walk_from_steps(
-            spec.v * np.column_stack([np.cos(theta), np.sin(theta)]), steps
-        )
-
-    if isinstance(spec, InternalStateWalk):
-        moving, stationary = effective_state_probs(spec.table, spec.uniformity)
-        c = np.cumsum(moving)
-        heading0 = int(rng.random() * 4.0)
-        action_u = rng.random(steps)
-        dir_u = rng.random(steps)
-        coords = np.zeros((steps + 1, 2))
-        coords[1:] = _kernels.internal_state_positions(
-            heading0, spec.step, c[0], c[1], c[2], c[3], stationary[0],
-            action_u, dir_u,
-        )
-        return Trajectory(np.arange(steps + 1, dtype=float), coords)
-
-    raise InvalidSpecError(f"unknown model spec {spec!r}")
+    coords = generate_many(spec, steps, [seed])[0]
+    return Trajectory(np.arange(len(coords), dtype=float), coords)
 
 
 def _model_name(spec: ModelSpec) -> str:
@@ -298,7 +319,9 @@ def spec_to_dict(spec: ModelSpec) -> dict:
 
 def spec_from_dict(data: dict) -> ModelSpec:
     """Inverse of :func:`spec_to_dict`; raises InvalidSpecError on unknown
-    models or parameters."""
+    models or parameters, or when ``data`` is not a mapping."""
+    if not isinstance(data, dict):
+        raise InvalidSpecError(f"a model spec must be a mapping, got {data!r}")
     data = dict(data)
     name = data.pop("model", None)
     if name not in MODEL_NAMES:

@@ -11,12 +11,23 @@ from .errors import TimeMismatchError
 from .trajectory import GappedTrajectory, Trajectory
 
 
+def path_lengths(coords: np.ndarray) -> np.ndarray:
+    """Sum of consecutive Euclidean distances along the point axis of
+    ``coords`` (..., n, 2); 0 for a single point."""
+    steps = np.diff(coords, axis=-2)
+    return np.hypot(steps[..., 0], steps[..., 1]).sum(axis=-1)
+
+
+def radii_of_gyration(coords: np.ndarray) -> np.ndarray:
+    """Root-mean-square distance of the points ``coords`` (..., n, 2) from
+    their centroid, one value per path."""
+    centred = coords - coords.mean(axis=-2, keepdims=True)
+    return np.sqrt((centred ** 2).sum(axis=-1).mean(axis=-1))
+
+
 def path_length(traj: Trajectory) -> float:
     """Sum of consecutive Euclidean distances; 0 for a single point."""
-    if len(traj) < 2:
-        return 0.0
-    steps = np.diff(traj.coords, axis=0)
-    return float(np.hypot(steps[:, 0], steps[:, 1]).sum())
+    return float(path_lengths(traj.coords))
 
 
 def radius_of_gyration(traj: Trajectory) -> float:
@@ -25,8 +36,7 @@ def radius_of_gyration(traj: Trajectory) -> float:
     All points weigh equally; with unit-spaced timestamps this matches the
     time-weighted reading.
     """
-    centred = traj.coords - traj.coords.mean(axis=0)
-    return float(np.sqrt((centred ** 2).sum(axis=1).mean()))
+    return float(radii_of_gyration(traj.coords))
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,12 @@ mean is integrated directly against the 2-D Gaussian density in polar
 coordinates (no Bessel functions anywhere), the Bessel oracle is plain
 term-by-term series summation with exact accumulation, and the bridge
 oracle conditions each point on the previous one and the endpoint in a
-scalar loop (the package uses the unrolled closed form), and the sigma_m
+scalar loop (the package uses the unrolled closed form), the sigma_m
 likelihood is summed triple by triple over point objects (the package
-reduces whole arrays).
+reduces whole arrays), the internal-state walker steps through its state
+machine one draw at a time (the package solves it in closed form), and
+experiment records are built one replicate at a time from the public
+single-path functions (the package runs each cell as arrays).
 """
 
 import math
@@ -19,8 +22,12 @@ import numpy as np
 from scipy import integrate
 
 from bridgefill.errors import DegenerateDataError, DomainError, TooFewPointsError
-from bridgefill.estimator import VARIANCE_WEIGHT_FLOOR
-from bridgefill.trajectory import TimedPoint, Trajectory
+from bridgefill.estimator import VARIANCE_WEIGHT_FLOOR, estimate_sigma
+from bridgefill.gapfill import METHODS, estimate_gap_length, fill_gap
+from bridgefill.generators import generate, spec_to_dict
+from bridgefill.metrics import gap_metrics, path_length
+from bridgefill.seeding import child_seed
+from bridgefill.trajectory import TimedPoint, Trajectory, excise_gap, splice_fill
 
 
 def rice_mean_quadrature(a: float, b: float) -> float:
@@ -191,3 +198,84 @@ def closed_form_sigma(triples: Sequence[BridgeTriple]) -> float:
     if quad == 0.0:
         raise DegenerateDataError("all midpoints are on their chords")
     return math.sqrt(quad / (2.0 * len(triples)))
+
+
+def internal_state_loop(heading0, step, c_keep, c_left, c_right, c_reverse,
+                        c_remain, action_u, dir_u):
+    """One internal-state walk, (steps, 2) positions after each step, by
+    stepping the moving/stationary state machine draw by draw."""
+    steps = action_u.shape[0]
+    out = np.empty((steps, 2))
+    x = 0.0
+    y = 0.0
+    moving = True
+    h = heading0
+    for j in range(steps):
+        u = action_u[j]
+        if moving:
+            if u < c_keep:
+                pass
+            elif u < c_left:
+                h = (h + 1) % 4
+            elif u < c_right:
+                h = (h + 3) % 4
+            elif u < c_reverse:
+                h = (h + 2) % 4
+            else:
+                moving = False
+        else:
+            if u >= c_remain:
+                moving = True
+                h = int(dir_u[j] * 4.0)
+        if moving:
+            if h == 0:
+                x = x + step
+            elif h == 1:
+                y = y + step
+            elif h == 2:
+                x = x - step
+            else:
+                y = y - step
+        out[j, 0] = x
+        out[j, 1] = y
+    return out
+
+
+def experiment_records(config) -> list[dict]:
+    """The records of ``run_experiment(config)``, built one replicate at a
+    time: generate, excise, estimate, then score the closed-form length or
+    splice each fill and compare radii of gyration."""
+    records = []
+    for cell, spec in enumerate(config.models):
+        d = spec_to_dict(spec)
+        model = d.pop("model")
+        params = ";".join(f"{k}={d[k]:g}" for k in sorted(d))
+        for rep in range(config.replicates):
+            seed = child_seed(config.master_seed, cell, rep, 0)
+            traj = generate(spec, config.steps, seed)
+            gapped = excise_gap(traj, config.gap_start, config.gap_count)
+            base = {"model": model, "params": params, "replicate": rep,
+                    "seed": seed, "sigma_hat": estimate_sigma(gapped.observed()).sigma_m}
+            if config.kind == "path-length":
+                left, right = config.gap_start - 1, config.gap_start + config.gap_count
+                true_length = path_length(traj.segment(left, right + 1))
+                estimates = (
+                    ("bridge", estimate_gap_length(gapped, base["sigma_hat"])),
+                    ("linear", float(np.hypot(*gapped.chord))),
+                )
+                for method, estimated in estimates:
+                    ratio = estimated / true_length if true_length > 0.0 else (
+                        1.0 if estimated == 0.0 else math.inf)
+                    records.append({**base, "method": method,
+                                    "true_length": true_length,
+                                    "estimated_length": estimated,
+                                    "length_ratio": ratio})
+                continue
+            fill_seed = child_seed(config.master_seed, cell, rep, 1)
+            for method in METHODS:
+                fill = fill_gap(gapped, method, base["sigma_hat"], fill_seed,
+                                config.fill_anchors)
+                m = gap_metrics(traj, gapped, splice_fill(gapped, fill, method))
+                records.append({**base, "method": method, "rog_before": m.rog_before,
+                                "rog_after": m.rog_after, "rog_error": m.rog_error})
+    return records

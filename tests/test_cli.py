@@ -120,6 +120,29 @@ class TestFill:
         assert "bridgefill: error:" in capsys.readouterr().err
 
 
+class TestExperiment:
+    @pytest.mark.parametrize("field", [
+        {"replicates": "two"},
+        {"steps": 60.7, "gap_start": 1, "gap_count": 29},
+        {"models": [["fixed-velocity"]]},
+    ], ids=["replicates-string", "steps-fraction", "model-not-mapping"])
+    def test_bad_config_is_data_error(self, tmp_path, capsys, field):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"kind": "rog", "replicates": 1, **field}))
+        assert main(["experiment", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 3
+        assert "bridgefill: error:" in capsys.readouterr().err
+
+    def test_config_runs(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "kind": "rog", "replicates": 2, "steps": 60.0, "gap_start": 1,
+            "gap_count": 29, "models": [{"model": "fixed-velocity"}]}))
+        assert main(["experiment", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert json.loads(capsys.readouterr().out)["record_count"] == 4
+
+
 class TestGolden:
     """Output bytes and the RoG estimate for fixed seeds stay as released."""
 

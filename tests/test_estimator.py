@@ -5,9 +5,9 @@ import pytest
 
 from bridgefill.bridge import BridgeParams, sample_bridge
 from bridgefill.errors import DegenerateDataError, DomainError, TooFewPointsError
-from bridgefill.estimator import SIGMA_FLOOR, estimate_sigma
+from bridgefill.estimator import SIGMA_FLOOR, estimate_sigma, estimate_sigmas
 from bridgefill.seeding import make_rng
-from bridgefill.trajectory import TimedPoint, build_trajectory
+from bridgefill.trajectory import TimedPoint, Trajectory, build_trajectory
 
 from .oracles import BridgeTriple, closed_form_sigma, extract_triples, log_likelihood
 
@@ -220,3 +220,24 @@ class TestEstimateSigma:
         assert oracle == pytest.approx(1.0018e5, rel=1e-3)
         assert est.sigma_m == pytest.approx(oracle, rel=1e-12)
         assert not est.clamped
+
+
+class TestEstimateSigmas:
+    @pytest.mark.parametrize("n", [5, 6, 101, 500])
+    def test_rows_equal_single_estimates(self, n):
+        # Uneven times with one near-degenerate triple, paths from 1e-9 to
+        # 1e4 in scale, one on its chords (clamped to the floor).
+        rng = np.random.default_rng(n)
+        times = np.cumsum(rng.uniform(0.5, 2.0, n))
+        times[1] = times[0] + 1e-13
+        scales = np.logspace(-9, 4, 40)[:, None, None]
+        coords = scales * rng.standard_normal((40, n, 2)).cumsum(axis=1)
+        coords[0] = np.column_stack([times, times])
+        got = estimate_sigmas(times, coords)
+        for row, sigma in zip(coords, got):
+            assert sigma == estimate_sigma(Trajectory(times, row)).sigma_m
+        assert got[0] == SIGMA_FLOOR
+
+    def test_no_usable_triple(self):
+        with pytest.raises(TooFewPointsError):
+            estimate_sigmas(np.arange(2.0), np.zeros((3, 2, 2)))

@@ -3,8 +3,10 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
+from bridgefill import experiments
 from bridgefill.experiments import (
     _summarise_cell,
     config_from_dict,
@@ -14,10 +16,13 @@ from bridgefill.experiments import (
     write_records_csv,
     write_summary_json,
 )
+from bridgefill.errors import TooFewPointsError
 from bridgefill.generators import generate
 from bridgefill.metrics import radius_of_gyration
 from bridgefill.seeding import child_seed
 from bridgefill.trajectory import Trajectory
+
+from .oracles import experiment_records
 
 
 def test_rog_summary_is_byte_identical_across_runs(tmp_path):
@@ -96,8 +101,8 @@ def test_zero_length_gap_keeps_summary_strict_json(tmp_path):
 
 def test_summary_statistics_skip_non_finite_values():
     spec = default_config("path-length").models[0]
-    records = [{"length_ratio": v} for v in (math.inf, 2.0, 4.0)]
-    cell = _summarise_cell("path-length", records, spec, "bridge")
+    values = np.array([math.inf, 2.0, 4.0])
+    cell = _summarise_cell("path-length", spec, "bridge", {"length_ratio": values})
     assert cell["count"] == 2
     assert cell["mean_error"] == 3.0
     assert cell["quartiles"] == [2.5, 3.0, 3.5]
@@ -147,3 +152,38 @@ def test_bridge_length_is_unbiased_on_brownian_cells():
         se = bridge["std_dev"] / math.sqrt(bridge["count"])
         assert abs(bridge["mean_error"] - 1.0) <= 4.0 * se, bridge["params"]
         assert linear["mean_error"] < bridge["mean_error"], bridge["params"]
+
+
+def _small(kind, **fields):
+    config = default_config(kind, replicates=3, master_seed=9)
+    return dataclasses.replace(config, **fields)
+
+
+@pytest.mark.parametrize("config", [
+    _small("path-length"),
+    _small("rog", steps=199, gap_start=1, gap_count=99),
+    _small("rog", steps=199, gap_start=40, gap_count=100, fill_anchors="gap"),
+    _small("path-length", gap_count=0),
+    _small("rog", steps=30, gap_start=5, gap_count=0),
+    _small("path-length", steps=4, gap_start=1, gap_count=1),
+    _small("rog", steps=4, gap_start=2, gap_count=1),
+    _small("rog", steps=4, gap_start=2, gap_count=1, fill_anchors="gap"),
+], ids=["path-length", "rog-loop", "rog-gap", "path-length-no-gap",
+        "rog-no-gap", "path-length-short", "rog-short-loop", "rog-short-gap"])
+def test_records_equal_per_replicate_reference(config):
+    assert list(run_experiment(config).records) == experiment_records(config)
+
+
+def test_too_few_observed_points_raise():
+    with pytest.raises(TooFewPointsError):
+        run_experiment(_small("rog", steps=2, gap_start=1, gap_count=1))
+
+
+def test_replicate_blocks_do_not_change_reports(monkeypatch):
+    # Blocks of 2 replicates, the last one short, against one block.
+    config = _small("rog", replicates=5, steps=99, gap_start=1, gap_count=49)
+    whole = run_experiment(config)
+    monkeypatch.setattr(experiments, "_BLOCK_POINTS", 2 * (config.steps + 1))
+    blocked = run_experiment(config)
+    assert blocked.records == whole.records
+    assert blocked.summary == whole.summary

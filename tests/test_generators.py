@@ -15,11 +15,15 @@ from bridgefill.generators import (
     default_internal_state_table,
     effective_state_probs,
     generate,
+    generate_many,
     spec_from_dict,
     spec_to_dict,
 )
 from bridgefill.metrics import path_length
-from bridgefill.seeding import child_seed
+from bridgefill import _kernels
+from bridgefill.seeding import child_seed, make_rng
+
+from .oracles import internal_state_loop
 
 ALL_SPECS = [
     DiscreteBrownian(sigma=0.5),
@@ -50,6 +54,41 @@ class TestGenerateBasics:
     def test_steps_validation(self):
         with pytest.raises(InvalidSpecError):
             generate(FixedVelocity(), 0, 1)
+
+
+class TestGenerateMany:
+    @pytest.mark.parametrize("m", [1, 5])
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
+    def test_rows_equal_single_paths(self, spec, m):
+        seeds = [child_seed(17, i) for i in range(m)]
+        batch = generate_many(spec, 60, seeds)
+        assert batch.shape == (m, 61, 2)
+        for row, seed in zip(batch, seeds):
+            assert np.array_equal(row, generate(spec, 60, seed).coords)
+
+    def test_steps_validation(self):
+        with pytest.raises(InvalidSpecError):
+            generate_many(FixedVelocity(), 2.5, [1])
+
+
+class TestInternalStateWalker:
+    @pytest.mark.parametrize("uniformity", [0.0, 0.33, 0.66, 1.0])
+    def test_closed_form_matches_loop(self, uniformity):
+        # 4 x 300 seeds, drawn as the generator draws them.
+        moving, stationary = effective_state_probs(
+            default_internal_state_table(), uniformity)
+        c = np.cumsum(moving)
+        draws = []
+        for seed in range(300):
+            rng = make_rng(child_seed(5, seed))
+            draws.append((int(rng.random() * 4.0), rng.random(199), rng.random(199)))
+        heading0, action_u, dir_u = (np.array(d) for d in zip(*draws))
+        got = _kernels.internal_state_positions(
+            heading0, 0.7, *c[:4], stationary[0], action_u, dir_u)
+        for i in range(len(draws)):
+            expected = internal_state_loop(heading0[i], 0.7, *c[:4], stationary[0],
+                                           action_u[i], dir_u[i])
+            assert np.array_equal(got[i], expected), i
 
 
 class TestFixedVelocity:

@@ -22,12 +22,27 @@ class TestBridgePaths:
         start, end, duration = (3.0, -2.0), (-5.0, 8.0), 10.0
         noise = np.random.default_rng(11).standard_normal((m, len(times), 2))
         before = noise.copy()
-        got = _kernels.bridge_paths(*start, *end, duration, sigma, times, noise)
+        got = _kernels.bridge_paths(start, end, duration, sigma, times, noise)
         expected = bridge_paths_sequential(start, end, duration, sigma, times, noise)
         assert np.array_equal(noise, before)
         assert got.shape == (m, len(times), 2)
         scale = np.abs(expected).max()
         assert np.abs(got - expected).max() <= 1e-12 * scale
+
+
+    def test_per_path_endpoints_and_sigma(self):
+        # One call with a start, end and sigma per path equals one call per
+        # path, bit for bit.
+        times = UNEVEN_TIMES[1]
+        rng = np.random.default_rng(4)
+        start, end = rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
+        sigma = np.array([0.0, 0.3, 1.7, 0.0, 2.5, 1e-3])
+        noise = rng.standard_normal((6, len(times), 2))
+        got = _kernels.bridge_paths(start, end, 10.0, sigma, times, noise)
+        for i in range(6):
+            one = _kernels.bridge_paths(start[i], end[i], 10.0, sigma[i], times,
+                                        noise[i:i + 1])
+            assert np.array_equal(got[i], one[0])
 
 
 def test_numpy_is_the_only_backend():

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from bridgefill.errors import TimeMismatchError
-from bridgefill.metrics import gap_metrics, path_length
+from bridgefill.metrics import (
+    gap_metrics,
+    path_length,
+    path_lengths,
+    radii_of_gyration,
+    radius_of_gyration,
+)
 from bridgefill.trajectory import Trajectory, excise_gap
 
 
@@ -36,3 +42,13 @@ class TestGapMetrics:
         m = gap_metrics(original, gapped, original, expected_gap_length=3)
         assert m.estimated_length == 3.0
         assert m.length_ratio == 3.0 / m.true_segment_length
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 1000])
+def test_batched_metrics_equal_single_paths(n):
+    coords = 1e3 * np.random.default_rng(n).standard_normal((9, n, 2)).cumsum(axis=1)
+    lengths, rogs = path_lengths(coords), radii_of_gyration(coords)
+    for row, length, rog in zip(coords, lengths, rogs):
+        traj = Trajectory(np.arange(float(n)), row)
+        assert length == path_length(traj)
+        assert rog == radius_of_gyration(traj)
