@@ -8,6 +8,7 @@ import pytest
 
 from bridgefill import experiments
 from bridgefill.experiments import (
+    _quartiles,
     _summarise_cell,
     config_from_dict,
     config_to_dict,
@@ -187,3 +188,16 @@ def test_replicate_blocks_do_not_change_reports(monkeypatch):
     blocked = run_experiment(config)
     assert blocked.records == whole.records
     assert blocked.summary == whole.summary
+
+
+def test_quartiles_equal_numpy_percentile():
+    # Sizes 1 to 60, ties, zeros and magnitudes from 1e-300 to 1e300.
+    rng = np.random.default_rng(12)
+    for n in [*range(1, 61), 101, 1000]:
+        for _ in range(20):
+            spread = rng.uniform(0.0, 690.0)
+            values = np.exp(rng.uniform(-spread, spread, n))
+            values[rng.random(n) < 0.2] = 0.0
+            values[rng.random(n) < 0.3] = values[0]
+            expected = np.percentile(values, [25.0, 50.0, 75.0]).tolist()
+            assert _quartiles(values) == expected
