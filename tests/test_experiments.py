@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bridgefill import experiments
+from bridgefill.errors import TooFewPointsError
 from bridgefill.experiments import (
     _quartiles,
     _summarise_cell,
@@ -17,7 +18,6 @@ from bridgefill.experiments import (
     write_records_csv,
     write_summary_json,
 )
-from bridgefill.errors import TooFewPointsError
 from bridgefill.generators import generate
 from bridgefill.metrics import radius_of_gyration
 from bridgefill.seeding import child_seed
