@@ -13,16 +13,13 @@ from ._version import __version__
 from ._kernels import BACKEND
 from .bridge import (
     BridgeParams,
-    bridge_marginal,
     expected_path_length,
     sample_bridge,
     sample_bridge_many,
-    sample_path_lengths,
 )
 from .errors import (
     BridgefillError,
     CsvFormatError,
-    DegenerateDataError,
     DomainError,
     InvalidSpecError,
     NonFiniteError,
@@ -59,20 +56,12 @@ from .generators import (
     spec_from_dict,
     spec_to_dict,
 )
-from .metrics import GapMetrics, gap_metrics, path_length, radius_of_gyration
+from .metrics import path_length, radius_of_gyration
 from .seeding import child_seed, make_rng
-from .special import (
-    RiceParams,
-    bessel_i,
-    bessel_i_scaled,
-    laguerre_half,
-    rice_mean,
-)
+from .special import bessel_i_scaled, laguerre_half, rice_mean
 from .trajectory import (
     GappedTrajectory,
-    TimedPoint,
     Trajectory,
-    build_trajectory,
     excise_gap,
     read_trajectory_csv,
     splice_fill,
@@ -83,13 +72,12 @@ __all__ = [
     "__version__",
     "BACKEND",
     # trajectory
-    "TimedPoint", "Trajectory", "GappedTrajectory", "build_trajectory",
-    "excise_gap", "splice_fill", "read_trajectory_csv", "write_trajectory_csv",
+    "Trajectory", "GappedTrajectory", "excise_gap", "splice_fill",
+    "read_trajectory_csv", "write_trajectory_csv",
     # special functions
-    "RiceParams", "bessel_i", "bessel_i_scaled", "laguerre_half", "rice_mean",
+    "bessel_i_scaled", "laguerre_half", "rice_mean",
     # bridge
-    "BridgeParams", "bridge_marginal", "sample_bridge", "sample_bridge_many",
-    "expected_path_length", "sample_path_lengths",
+    "BridgeParams", "sample_bridge", "sample_bridge_many", "expected_path_length",
     # estimator
     "SigmaEstimate", "estimate_sigma",
     # generators
@@ -97,7 +85,7 @@ __all__ = [
     "InternalStateWalk", "RunTumble", "InternalStateTable",
     "default_internal_state_table", "generate", "spec_to_dict", "spec_from_dict",
     # metrics
-    "GapMetrics", "path_length", "radius_of_gyration", "gap_metrics",
+    "path_length", "radius_of_gyration",
     # gapfill
     "GapRogEstimate", "fill_gap", "estimate_gap_length", "estimate_gap_rog",
     # experiments
@@ -108,5 +96,5 @@ __all__ = [
     # errors
     "BridgefillError", "NonMonotonicTimeError", "NonFiniteError",
     "OutOfRangeError", "TimeMismatchError", "TooFewPointsError",
-    "DegenerateDataError", "DomainError", "InvalidSpecError", "CsvFormatError",
+    "DomainError", "InvalidSpecError", "CsvFormatError",
 ]

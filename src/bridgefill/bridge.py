@@ -1,5 +1,5 @@
-"""General 2-D Brownian bridge: marginal law, exact sampling, and the
-closed-form expected length of its discretisation.
+"""General 2-D Brownian bridge: exact sampling and the closed-form expected
+length of its discretisation.
 
 A bridge runs from ``start`` at time 0 to ``end`` at time ``duration`` with
 diffusion coefficient ``sigma_m``; at time t its position is Gaussian around
@@ -46,22 +46,6 @@ class BridgeParams:
         if not (math.isfinite(self.sigma_m) and self.sigma_m >= 0.0):
             raise DomainError(f"sigma_m must be >= 0, got {self.sigma_m!r}")
 
-    @property
-    def displacement(self) -> np.ndarray:
-        return np.array(self.end, dtype=float) - np.array(self.start, dtype=float)
-
-
-def bridge_marginal(params: BridgeParams, t: float) -> tuple[np.ndarray, float]:
-    """Mean point and per-coordinate variance of the bridge at time t."""
-    if not (0.0 <= t <= params.duration):
-        raise DomainError(
-            f"t must lie in [0, {params.duration}], got {t!r}"
-        )
-    start = np.array(params.start, dtype=float)
-    mean = start + (t / params.duration) * params.displacement
-    var = params.sigma_m ** 2 * t * (params.duration - t) / params.duration
-    return mean, var
-
 
 def _check_times(times: np.ndarray, duration: float) -> np.ndarray:
     times = np.asarray(times, dtype=float)
@@ -86,15 +70,7 @@ def sample_bridge(
     Returns an array of shape (len(times), 2). Deterministic for a fixed
     seed; the two coordinates are driven by independent noise.
     """
-    times = _check_times(times, params.duration)
-    if len(times) == 0:
-        return np.empty((0, 2))
-    rng = make_rng(rng)
-    noise = rng.standard_normal((1, len(times), 2))
-    paths = _kernels.bridge_paths(
-        params.start, params.end, params.duration, params.sigma_m, times, noise,
-    )
-    return paths[0]
+    return sample_bridge_many(params, times, 1, rng)[0]
 
 
 def sample_bridge_many(
@@ -145,35 +121,3 @@ def expected_path_length(
         return d_norm
     return rice_mean(d_norm, var)
 
-
-def sample_path_lengths(
-    sigma_m: float,
-    duration: float,
-    displacement: tuple[float, float],
-    segments: int,
-    n_samples: int,
-    rng: int | np.random.Generator,
-) -> np.ndarray:
-    """Measured lengths of ``n_samples`` sampled discretised bridges.
-
-    Each bridge runs from the origin to ``displacement`` and is sampled at
-    the ``segments - 1`` equally spaced interior times by
-    :func:`sample_bridge_many`, which uses the closed-form construction
-    X_t = (T - t) * integral_0^t dW_s / (T - s) around the chord
-    (Glasserman 2004, section 3.1). Its length is the sum of the step
-    norms, both endpoints included. Monte-Carlo counterpart of
-    :func:`expected_path_length`; useful for validation and benchmarking.
-    """
-    if not isinstance(segments, (int, np.integer)) or segments < 1:
-        raise DomainError(f"segments must be an integer >= 1, got {segments!r}")
-    if n_samples < 1:
-        raise DomainError(f"n_samples must be >= 1, got {n_samples}")
-    dx, dy = map(float, displacement)
-    if segments == 1 or sigma_m == 0.0:
-        return np.full(n_samples, math.hypot(dx, dy))
-    params = BridgeParams((0.0, 0.0), (dx, dy), float(duration), float(sigma_m))
-    times = params.duration * np.arange(1, segments) / segments
-    paths = sample_bridge_many(params, times, n_samples, rng)
-    ends = np.zeros((n_samples, 1, 2))
-    steps = np.diff(paths, axis=1, prepend=ends, append=ends + (dx, dy))
-    return np.hypot(steps[..., 0], steps[..., 1]).sum(axis=1)

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .errors import BridgefillError
+from .errors import BridgefillError, InvalidSpecError
 from .estimator import estimate_sigma
 from .experiments import (
     KINDS,
@@ -51,6 +51,18 @@ from .trajectory import (
 
 USAGE_ERROR = 2
 DATA_ERROR = 3
+
+
+def _seed(text: str) -> int:
+    """argparse type of the ``--seed`` flags: a non-negative integer."""
+    message = f"expected a non-negative integer, got {text!r}"
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(message) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(message)
+    return value
 
 
 def _parse_params(pairs: list[str], parser: argparse.ArgumentParser) -> dict:
@@ -204,6 +216,10 @@ def _cmd_fill(args, parser) -> int:
 def _cmd_experiment(args, parser) -> int:
     if args.config is not None:
         data = json.loads(Path(args.config).read_text())
+        if not isinstance(data, dict):
+            raise InvalidSpecError(
+                f"{args.config}: a config must be a JSON object, "
+                f"got {type(data).__name__}")
         if args.replicates is not None:
             data["replicates"] = args.replicates
         if args.seed is not None:
@@ -253,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, choices=MODEL_NAMES)
     p.add_argument("--param", action="append", default=[], metavar="KEY=VALUE")
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("gap", help="remove points and write the observed rest")
@@ -277,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=None,
                    help="skip estimation and use this diffusion coefficient "
                         "(bridge only)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--realisations", type=int, default=DEFAULT_ROG_REALISATIONS,
                    help="Monte-Carlo realisations for the RoG estimate "
                         "(bridge only)")
@@ -290,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=KINDS, default=None)
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--replicates", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None, help="master seed")
+    p.add_argument("--seed", type=_seed, default=None, help="master seed")
     p.add_argument("--out", required=True, help="output directory")
 
     return parser

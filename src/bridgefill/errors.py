@@ -25,10 +25,6 @@ class TooFewPointsError(BridgefillError, ValueError):
     """Not enough points to build at least one bridge triple."""
 
 
-class DegenerateDataError(BridgefillError, ValueError):
-    """All midpoints sit exactly on their chords; no finite maximizer."""
-
-
 class DomainError(BridgefillError, ValueError):
     """Argument outside the mathematical domain of the function."""
 

@@ -21,7 +21,7 @@ does: ``gap`` pins the replacement segment across the gap's own endpoints,
 anchor, so a leading gap is replaced by an excursion that closes the
 observed remainder into a loop. The rog experiment defaults to ``loop``
 (its reference summary statistics correspond to that anchoring); the
-path-length experiment uses ``gap``.
+path-length experiment fills nothing and accepts only ``gap``.
 
 Each (model, replicates) cell runs as arrays, one row per replicate, in
 blocks that bound memory: one generator call builds the block's paths,
@@ -104,6 +104,9 @@ class ExperimentConfig:
             raise InvalidSpecError("at least one model is required")
         if self.replicates < 1:
             raise InvalidSpecError("replicates must be >= 1")
+        if self.master_seed < 0:
+            raise InvalidSpecError(
+                f"master_seed must be >= 0, got {self.master_seed}")
         if self.gap_start < 1 or self.gap_start + self.gap_count > self.steps:
             raise InvalidSpecError(
                 "gap must keep both anchors: need 1 <= gap_start and "
@@ -112,6 +115,11 @@ class ExperimentConfig:
         if self.fill_anchors not in ANCHOR_MODES:
             raise InvalidSpecError(
                 f"fill_anchors must be one of {ANCHOR_MODES}, "
+                f"got {self.fill_anchors!r}"
+            )
+        if self.kind == PATH_LENGTH_KIND and self.fill_anchors != "gap":
+            raise InvalidSpecError(
+                "path-length scores no fill, so fill_anchors must be 'gap', "
                 f"got {self.fill_anchors!r}"
             )
 

@@ -1,14 +1,11 @@
-"""Path length, radius of gyration, and gap-reconstruction error ratios."""
+"""Path length and radius of gyration, of one trajectory or of a stack of
+paths at once."""
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import TimeMismatchError
-from .trajectory import GappedTrajectory, Trajectory
+from .trajectory import Trajectory
 
 
 def path_lengths(coords: np.ndarray) -> np.ndarray:
@@ -37,65 +34,3 @@ def radius_of_gyration(traj: Trajectory) -> float:
     time-weighted reading.
     """
     return float(radii_of_gyration(traj.coords))
-
-
-@dataclass(frozen=True)
-class GapMetrics:
-    """Per-replicate comparison of a filled gap against the original path.
-
-    Ratios are estimated over true: ``length_ratio`` compares gap-segment
-    path lengths, ``rog_error`` compares whole-path radii of gyration.
-    """
-
-    true_segment_length: float
-    estimated_length: float
-    length_ratio: float
-    rog_before: float
-    rog_after: float
-    rog_error: float
-
-
-def _ratio(estimated: float, true: float) -> float:
-    if true == 0.0:
-        return 1.0 if estimated == 0.0 else math.inf
-    return estimated / true
-
-
-def _anchor_index(original: Trajectory, t: float) -> int:
-    i = int(np.searchsorted(original.times, t))
-    if i >= len(original) or original.times[i] != t:
-        raise TimeMismatchError(f"anchor time {t!r} not found in the original path")
-    return i
-
-
-def gap_metrics(
-    original: Trajectory,
-    gapped: GappedTrajectory,
-    filled: Trajectory,
-    expected_gap_length: float | None = None,
-) -> GapMetrics:
-    """Compare a filled path against the complete original.
-
-    The true segment length is measured on the original between the two
-    anchors (inclusive); the estimated one on the same window of the filled
-    path, unless a closed-form ``expected_gap_length`` is supplied.
-    """
-    if not np.array_equal(filled.times, original.times):
-        raise TimeMismatchError("filled path times differ from the original's")
-    i_left = _anchor_index(original, gapped.left_anchor.t)
-    i_right = _anchor_index(original, gapped.right_anchor.t)
-    true_segment = path_length(original.segment(i_left, i_right + 1))
-    if expected_gap_length is None:
-        estimated = path_length(filled.segment(i_left, i_right + 1))
-    else:
-        estimated = float(expected_gap_length)
-    rog_before = radius_of_gyration(original)
-    rog_after = radius_of_gyration(filled)
-    return GapMetrics(
-        true_segment_length=true_segment,
-        estimated_length=estimated,
-        length_ratio=_ratio(estimated, true_segment),
-        rog_before=rog_before,
-        rog_after=rog_after,
-        rog_error=_ratio(rog_after, rog_before),
-    )

@@ -1,25 +1,22 @@
-"""Modified Bessel functions, the order-1/2 Laguerre function, and the mean
-of the Rice distribution.
+"""Exponentially scaled modified Bessel functions, the order-1/2 Laguerre
+function, and the mean of the Rice distribution.
 
 Everything here is scalar, dependency-free arithmetic so results are
-bit-reproducible across platforms. ``bessel_i`` uses the ascending power
-series for small arguments and the large-argument asymptotic expansion
-beyond ``SERIES_ASYM_SEAM``; the seam was placed where both branches agree
-to better than 1e-12 so no accuracy cliff exists at the switchover.
+bit-reproducible across platforms. ``bessel_i_scaled`` uses the ascending
+power series for small arguments and the large-argument asymptotic
+expansion beyond ``SERIES_ASYM_SEAM``; the seam was placed where both
+branches agree to better than 1e-12 so no accuracy cliff exists at the
+switchover.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 
 # |x| at which bessel evaluation switches from power series to asymptotics.
 SERIES_ASYM_SEAM = 16.0
-
-# log of the largest finite double.
-_LOG_DBL_MAX = 709.782712893384
 
 # rice_mean switches to the two-term expansion a + b/(2a) once
 # a^2/(4b) exceeds this; the neglected terms are O((b/a^2)^2) ~ 6e-18 there.
@@ -115,35 +112,6 @@ def bessel_i_scaled(order: int, x: float) -> float:
     return value
 
 
-def bessel_i(order: int, x: float) -> float:
-    """Modified Bessel function of the first kind, I0(x) or I1(x).
-
-    Raises OverflowError once the result exceeds the largest finite double
-    (just past |x| ~ 714).
-    """
-    if order not in (0, 1):
-        raise DomainError(f"order must be 0 or 1, got {order!r}")
-    if not math.isfinite(x):
-        raise DomainError(f"argument must be finite, got {x!r}")
-    ax = abs(x)
-    if ax <= SERIES_ASYM_SEAM:
-        value = _i0_series(ax) if order == 0 else _i1_series(ax)
-    else:
-        scaled = _i0e_asym(ax) if order == 0 else _i1e_asym(ax)
-        if ax <= 700.0:
-            value = math.exp(ax) * scaled
-        else:
-            log_value = ax + math.log(scaled)
-            if log_value > _LOG_DBL_MAX:
-                raise OverflowError(
-                    f"I{order}({x!r}) exceeds the double-precision range"
-                )
-            value = math.exp(log_value)
-    if order == 1 and x < 0.0:
-        value = -value
-    return value
-
-
 def laguerre_half(x: float) -> float:
     """Laguerre function of order 1/2 on the non-positive half line.
 
@@ -158,33 +126,18 @@ def laguerre_half(x: float) -> float:
     return (1.0 + 2.0 * z) * bessel_i_scaled(0, z) + 2.0 * z * bessel_i_scaled(1, z)
 
 
-@dataclass(frozen=True)
-class RiceParams:
-    """Parameters of a Rice distribution: ``a`` is the norm of the mean of
-    the underlying 2-D Gaussian, ``b`` its per-coordinate variance."""
-
-    a: float
-    b: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.a) and self.a >= 0.0):
-            raise DomainError(f"a must be finite and >= 0, got {self.a!r}")
-        if not (math.isfinite(self.b) and self.b > 0.0):
-            raise DomainError(f"b must be finite and > 0, got {self.b!r}")
-
-    @property
-    def mean(self) -> float:
-        return rice_mean(self.a, self.b)
-
-
 def rice_mean(a: float, b: float) -> float:
-    """Mean of ||Z|| for Z ~ N2((a, 0), b * I2).
+    """Mean of ||Z|| for Z ~ N2((a, 0), b * I2): ``a`` is the norm of the
+    Gaussian's mean, ``b`` its per-coordinate variance.
 
     Closed form sqrt(b) sqrt(pi/2) L_half(-a^2 / (2b)); for a^2/(4b) beyond
     ``RICE_MEAN_ASYMPTOTIC_CUT`` the two-term expansion a + b/(2a) is used
     instead (the distribution is then a near-point-mass at a).
     """
-    RiceParams(a, b)
+    if not (math.isfinite(a) and a >= 0.0):
+        raise DomainError(f"a must be finite and >= 0, got {a!r}")
+    if not (math.isfinite(b) and b > 0.0):
+        raise DomainError(f"b must be finite and > 0, got {b!r}")
     if a * a > 4.0 * RICE_MEAN_ASYMPTOTIC_CUT * b:
         return a + b / (2.0 * a)
     return math.sqrt(b) * _SQRT_HALF_PI * laguerre_half(-(a * a) / (2.0 * b))

@@ -1,4 +1,5 @@
-"""Trajectory data model: timed 2-D points, gap excision and splicing, CSV IO.
+"""Trajectory data model: time-stamped 2-D positions as arrays, gap excision
+and splicing, CSV IO.
 
 A trajectory is an ordered sequence of (t, x, y) samples with strictly
 increasing, finite timestamps. A gapped trajectory is the pair of observed
@@ -20,7 +21,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -33,14 +33,6 @@ from .errors import (
 )
 
 SOURCE_OBSERVED = "observed"
-
-
-class TimedPoint(NamedTuple):
-    """A single time-stamped position."""
-
-    t: float
-    x: float
-    y: float
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -91,32 +83,10 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.times)
 
-    def __iter__(self) -> Iterator[TimedPoint]:
-        for i in range(len(self)):
-            yield self.point(i)
-
-    def point(self, i: int) -> TimedPoint:
-        return TimedPoint(float(self.times[i]), *map(float, self.coords[i]))
-
     def segment(self, start: int, stop: int) -> "Trajectory":
         """Sub-trajectory over point indices [start, stop)."""
         sources = self.sources[start:stop] if self.sources is not None else None
         return Trajectory(self.times[start:stop], self.coords[start:stop], sources)
-
-
-def build_trajectory(rows: Iterable[tuple[float, float, float]]) -> Trajectory:
-    """Validate (t, x, y) rows into a Trajectory, preserving input order.
-
-    Raises NonMonotonicTimeError if timestamps ever fail to increase and
-    NonFiniteError on NaN or infinite values.
-    """
-    rows = list(rows)
-    if not rows:
-        raise ValueError("rows must be non-empty")
-    data = np.asarray(rows, dtype=float)
-    if data.ndim != 2 or data.shape[1] != 3:
-        raise ValueError("each row must be (t, x, y)")
-    return Trajectory(data[:, 0], data[:, 1:])
 
 
 @dataclass(frozen=True)
@@ -148,17 +118,9 @@ class GappedTrajectory:
                 )
 
     @property
-    def left_anchor(self) -> TimedPoint:
-        return self.before.point(len(self.before) - 1)
-
-    @property
-    def right_anchor(self) -> TimedPoint:
-        return self.after.point(0)
-
-    @property
     def duration(self) -> float:
         """Time between the anchors."""
-        return self.right_anchor.t - self.left_anchor.t
+        return float(self.after.times[0] - self.before.times[-1])
 
     @property
     def chord(self) -> np.ndarray:

@@ -5,29 +5,44 @@ mean is integrated directly against the 2-D Gaussian density in polar
 coordinates (no Bessel functions anywhere), the Bessel oracle is plain
 term-by-term series summation with exact accumulation, and the bridge
 oracle conditions each point on the previous one and the endpoint in a
-scalar loop (the package uses the unrolled closed form), the sigma_m
-likelihood is summed triple by triple over point objects (the package
-reduces whole arrays), the internal-state walker steps through its state
-machine one draw at a time (the package solves it in closed form), and
-experiment records are built one replicate at a time from the public
-single-path functions (the package runs each cell as arrays).
+scalar loop (the package uses the unrolled closed form). Sampled
+discretised bridge lengths are the Monte-Carlo counterpart of the
+closed-form expected length. The sigma_m likelihood is summed triple by
+triple over point objects (the package reduces whole arrays), the
+internal-state walker steps through its state machine one draw at a time
+(the package solves it in closed form), and experiment records are built
+one replicate at a time from the public single-path functions (the
+package runs each cell as arrays).
 """
 
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy import integrate
 
-from bridgefill.errors import DegenerateDataError, DomainError, TooFewPointsError
+from bridgefill.bridge import BridgeParams, sample_bridge_many
+from bridgefill.errors import DomainError, TooFewPointsError
 from bridgefill.estimator import VARIANCE_WEIGHT_FLOOR, estimate_sigma
 from bridgefill.gapfill import METHODS, estimate_gap_length, fill_gap
 from bridgefill.generators import generate, spec_to_dict
-from bridgefill.metrics import gap_metrics, path_length
+from bridgefill.metrics import path_length, radius_of_gyration
 from bridgefill.seeding import child_seed
-from bridgefill.trajectory import TimedPoint, Trajectory, excise_gap, splice_fill
+from bridgefill.trajectory import Trajectory, excise_gap, splice_fill
+
+
+class DegenerateDataError(ValueError):
+    """All midpoints sit exactly on their chords; no finite maximizer."""
+
+
+class Point(NamedTuple):
+    """A single time-stamped position."""
+
+    t: float
+    x: float
+    y: float
 
 
 def rice_mean_quadrature(a: float, b: float) -> float:
@@ -116,13 +131,57 @@ def bridge_paths_sequential(start, end, duration, sigma_m, times, noise):
     return out
 
 
+def bridge_marginal(params: BridgeParams, t: float) -> tuple[np.ndarray, float]:
+    """Mean point and per-coordinate variance of the bridge at time t."""
+    if not (0.0 <= t <= params.duration):
+        raise DomainError(
+            f"t must lie in [0, {params.duration}], got {t!r}"
+        )
+    start = np.array(params.start, dtype=float)
+    displacement = np.array(params.end, dtype=float) - start
+    mean = start + (t / params.duration) * displacement
+    var = params.sigma_m ** 2 * t * (params.duration - t) / params.duration
+    return mean, var
+
+
+def sample_path_lengths(
+    sigma_m: float,
+    duration: float,
+    displacement: tuple[float, float],
+    segments: int,
+    n_samples: int,
+    rng: int | np.random.Generator,
+) -> np.ndarray:
+    """Measured lengths of ``n_samples`` sampled discretised bridges.
+
+    Each bridge runs from the origin to ``displacement`` and is sampled at
+    the ``segments - 1`` equally spaced interior times by
+    ``sample_bridge_many``. Its length is the sum of the step norms, both
+    endpoints included: the Monte-Carlo counterpart of
+    ``expected_path_length``.
+    """
+    if not isinstance(segments, (int, np.integer)) or segments < 1:
+        raise DomainError(f"segments must be an integer >= 1, got {segments!r}")
+    if n_samples < 1:
+        raise DomainError(f"n_samples must be >= 1, got {n_samples}")
+    dx, dy = map(float, displacement)
+    if segments == 1 or sigma_m == 0.0:
+        return np.full(n_samples, math.hypot(dx, dy))
+    params = BridgeParams((0.0, 0.0), (dx, dy), float(duration), float(sigma_m))
+    times = params.duration * np.arange(1, segments) / segments
+    paths = sample_bridge_many(params, times, n_samples, rng)
+    ends = np.zeros((n_samples, 1, 2))
+    steps = np.diff(paths, axis=1, prepend=ends, append=ends + (dx, dy))
+    return np.hypot(steps[..., 0], steps[..., 1]).sum(axis=1)
+
+
 @dataclass(frozen=True)
 class BridgeTriple:
     """One (anchor, midpoint, anchor) observation triple."""
 
-    left: TimedPoint
-    mid: TimedPoint
-    right: TimedPoint
+    left: Point
+    mid: Point
+    right: Point
 
     @property
     def duration(self) -> float:
@@ -164,9 +223,11 @@ def extract_triples(traj: Trajectory) -> list[BridgeTriple]:
         raise TooFewPointsError(
             f"need at least 3 points to form a triple, got {len(traj)}"
         )
+    points = [Point(t, x, y) for t, (x, y) in
+              zip(traj.times.tolist(), traj.coords.tolist())]
     triples = []
     for i in range(0, len(traj) - 2, 2):
-        triple = BridgeTriple(traj.point(i), traj.point(i + 1), traj.point(i + 2))
+        triple = BridgeTriple(*points[i:i + 3])
         if triple.variance_weight > VARIANCE_WEIGHT_FLOOR:
             triples.append(triple)
     return triples
@@ -241,6 +302,12 @@ def internal_state_loop(heading0, step, c_keep, c_left, c_right, c_reverse,
     return out
 
 
+def _ratio(estimated: float, true: float) -> float:
+    if true > 0.0:
+        return estimated / true
+    return 1.0 if estimated == 0.0 else math.inf
+
+
 def experiment_records(config) -> list[dict]:
     """The records of ``run_experiment(config)``, built one replicate at a
     time: generate, excise, estimate, then score the closed-form length or
@@ -264,18 +331,18 @@ def experiment_records(config) -> list[dict]:
                     ("linear", float(np.hypot(*gapped.chord))),
                 )
                 for method, estimated in estimates:
-                    ratio = estimated / true_length if true_length > 0.0 else (
-                        1.0 if estimated == 0.0 else math.inf)
                     records.append({**base, "method": method,
                                     "true_length": true_length,
                                     "estimated_length": estimated,
-                                    "length_ratio": ratio})
+                                    "length_ratio": _ratio(estimated, true_length)})
                 continue
             fill_seed = child_seed(config.master_seed, cell, rep, 1)
+            rog_before = radius_of_gyration(traj)
             for method in METHODS:
                 fill = fill_gap(gapped, method, base["sigma_hat"], fill_seed,
                                 config.fill_anchors)
-                m = gap_metrics(traj, gapped, splice_fill(gapped, fill, method))
-                records.append({**base, "method": method, "rog_before": m.rog_before,
-                                "rog_after": m.rog_after, "rog_error": m.rog_error})
+                rog_after = radius_of_gyration(splice_fill(gapped, fill, method))
+                records.append({**base, "method": method, "rog_before": rog_before,
+                                "rog_after": rog_after,
+                                "rog_error": _ratio(rog_after, rog_before)})
     return records

@@ -6,16 +6,14 @@ from scipy import stats
 
 from bridgefill.bridge import (
     BridgeParams,
-    bridge_marginal,
     expected_path_length,
     sample_bridge,
     sample_bridge_many,
-    sample_path_lengths,
 )
 from bridgefill.errors import DomainError
 from bridgefill.seeding import make_rng
 
-from .oracles import polyline_length
+from .oracles import bridge_marginal, polyline_length, sample_path_lengths
 
 
 class TestBridgeMarginal:

@@ -125,13 +125,24 @@ class TestExperiment:
         {"replicates": "two"},
         {"steps": 60.7, "gap_start": 1, "gap_count": 29},
         {"models": [["fixed-velocity"]]},
-    ], ids=["replicates-string", "steps-fraction", "model-not-mapping"])
+        {"master_seed": -1},
+        {"kind": "path-length", "fill_anchors": "loop"},
+    ], ids=["replicates-string", "steps-fraction", "model-not-mapping",
+            "master-seed-negative", "path-length-loop-anchors"])
     def test_bad_config_is_data_error(self, tmp_path, capsys, field):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"kind": "rog", "replicates": 1, **field}))
         assert main(["experiment", "--config", str(config),
                      "--out", str(tmp_path / "out")]) == 3
         assert "bridgefill: error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [[], ["--replicates", "2"], ["--seed", "3"]])
+    def test_config_not_an_object_is_data_error(self, tmp_path, capsys, flags):
+        config = tmp_path / "config.json"
+        config.write_text("[1]")
+        assert main(["experiment", "--config", str(config), *flags,
+                     "--out", str(tmp_path / "out")]) == 3
+        assert "must be a JSON object" in capsys.readouterr().err
 
     def test_config_runs(self, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -141,6 +152,19 @@ class TestExperiment:
         assert main(["experiment", "--config", str(config),
                      "--out", str(tmp_path / "out")]) == 0
         assert json.loads(capsys.readouterr().out)["record_count"] == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "--kind", "rog", "--replicates", "1"],
+    ["simulate", "--model", "fixed-velocity", "--steps", "5"],
+    ["fill", "--in", "in.csv"],
+], ids=["experiment", "simulate", "fill"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "-1", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "--seed: expected a non-negative integer, got '-1'" in (
+        capsys.readouterr().err)
 
 
 class TestGolden:

@@ -4,29 +4,42 @@ import numpy as np
 import pytest
 
 from bridgefill.bridge import BridgeParams, sample_bridge
-from bridgefill.errors import DegenerateDataError, DomainError, TooFewPointsError
+from bridgefill.errors import DomainError, TooFewPointsError
 from bridgefill.estimator import SIGMA_FLOOR, estimate_sigma, estimate_sigmas
 from bridgefill.seeding import make_rng
-from bridgefill.trajectory import TimedPoint, Trajectory, build_trajectory
+from bridgefill.trajectory import Trajectory
 
-from .oracles import BridgeTriple, closed_form_sigma, extract_triples, log_likelihood
+from .oracles import (
+    BridgeTriple,
+    DegenerateDataError,
+    Point,
+    closed_form_sigma,
+    extract_triples,
+    log_likelihood,
+)
 
 
 def triple(points):
-    return BridgeTriple(*(TimedPoint(*p) for p in points))
+    return BridgeTriple(*(Point(*p) for p in points))
+
+
+def from_rows(rows):
+    """Trajectory from (t, x, y) rows."""
+    data = np.asarray(rows, dtype=float)
+    return Trajectory(data[:, 0], data[:, 1:])
 
 
 def random_trajectory(rng, n_points=None, scale=1.0):
     n = n_points if n_points is not None else int(rng.integers(5, 40))
     times = np.cumsum(rng.uniform(0.5, 2.0, n))
     coords = scale * rng.standard_normal((n, 2)).cumsum(axis=0)
-    return build_trajectory(np.column_stack([times, coords]))
+    return Trajectory(times, coords)
 
 
 def large_step_walk():
     """501 points, unit times, N(0, 1e5) steps from default_rng(0)."""
     coords = np.random.default_rng(0).normal(0.0, 1e5, (501, 2)).cumsum(axis=0)
-    return build_trajectory(np.column_stack([np.arange(501.0), coords]))
+    return Trajectory(np.arange(501.0), coords)
 
 
 def bridge_trajectory(sigma, duration, end, seed, n_interior):
@@ -34,31 +47,29 @@ def bridge_trajectory(sigma, duration, end, seed, n_interior):
     pts = sample_bridge(
         BridgeParams((0, 0), end, duration, sigma), times, seed
     )
-    rows = [(0.0, 0.0, 0.0)]
-    rows += [(t, p[0], p[1]) for t, p in zip(times, pts)]
-    rows.append((duration, *end))
-    return build_trajectory(rows)
+    return Trajectory(np.concatenate([[0.0], times, [duration]]),
+                      np.concatenate([[(0.0, 0.0)], pts, [end]]))
 
 
 class TestExtractTriples:
     @pytest.mark.parametrize("n_points,n_triples", [(3, 1), (4, 1), (5, 2), (7, 3), (8, 3)])
     def test_counts(self, n_points, n_triples):
-        traj = build_trajectory([(t, t * 1.0, 0.0) for t in range(n_points)])
+        traj = from_rows([(t, t * 1.0, 0.0) for t in range(n_points)])
         assert len(extract_triples(traj)) == n_triples
 
     def test_too_few_points(self):
         with pytest.raises(TooFewPointsError):
-            extract_triples(build_trajectory([(0, 0, 0), (1, 1, 1)]))
+            extract_triples(from_rows([(0, 0, 0), (1, 1, 1)]))
 
     def test_anchors_are_every_other_point(self):
-        traj = build_trajectory([(t, float(t), 0.0) for t in range(7)])
+        traj = from_rows([(t, float(t), 0.0) for t in range(7)])
         triples = extract_triples(traj)
         assert [(tr.left.t, tr.mid.t, tr.right.t) for tr in triples] == [
             (0, 1, 2), (2, 3, 4), (4, 5, 6),
         ]
 
     def test_degenerate_variance_weight_skipped(self):
-        traj = build_trajectory([(0, 0, 0), (1e-13, 1, 1), (1, 2, 2)])
+        traj = from_rows([(0, 0, 0), (1e-13, 1, 1), (1, 2, 2)])
         assert extract_triples(traj) == []
 
     def test_derived_quantities(self):
@@ -116,9 +127,7 @@ class TestClosedFormSigma:
         traj = random_trajectory(rng, n_points=15)
         base = closed_form_sigma(extract_triples(traj))
         for c in [0.5, 10.0]:
-            scaled = build_trajectory(
-                np.column_stack([traj.times, c * traj.coords])
-            )
+            scaled = Trajectory(traj.times, c * traj.coords)
             assert closed_form_sigma(extract_triples(scaled)) == pytest.approx(
                 c * base, rel=1e-12
             )
@@ -143,7 +152,7 @@ class TestEstimateSigma:
     def test_counts_skipped_triples(self):
         # The first midpoint sits 1e-13 after its left anchor, so its
         # variance weight is below VARIANCE_WEIGHT_FLOOR.
-        traj = build_trajectory(
+        traj = from_rows(
             [(0, 0, 0), (1e-13, 1, 1), (1, 2, 2), (2, 3, 1), (3, 5, 5)])
         est = estimate_sigma(traj)
         assert (est.n_triples, est.n_skipped) == (1, 1)
@@ -159,7 +168,7 @@ class TestEstimateSigma:
         )
 
     def test_collinear_clamps_to_lower_bound(self):
-        traj = build_trajectory([(t, 2.0 * t, t) for t in range(9)])
+        traj = from_rows([(t, 2.0 * t, t) for t in range(9)])
         est = estimate_sigma(traj)
         assert est.clamped
         assert est.sigma_m == SIGMA_FLOOR
@@ -168,25 +177,19 @@ class TestEstimateSigma:
     def test_translation_and_rotation_invariance(self):
         traj = random_trajectory(make_rng(21), n_points=25)
         base = estimate_sigma(traj).sigma_m
-        shifted = build_trajectory(
-            np.column_stack([traj.times, traj.coords + [123.0, -456.0]])
-        )
+        shifted = Trajectory(traj.times, traj.coords + [123.0, -456.0])
         assert estimate_sigma(shifted).sigma_m == pytest.approx(base, rel=1e-12)
         phi = 0.7
         rot = np.array([[math.cos(phi), -math.sin(phi)],
                         [math.sin(phi), math.cos(phi)]])
-        rotated = build_trajectory(
-            np.column_stack([traj.times, traj.coords @ rot.T])
-        )
+        rotated = Trajectory(traj.times, traj.coords @ rot.T)
         assert estimate_sigma(rotated).sigma_m == pytest.approx(base, rel=1e-12)
 
     def test_time_rescaling(self):
         traj = random_trajectory(make_rng(13), n_points=25)
         base = estimate_sigma(traj).sigma_m
         for c in [4.0, 0.25]:
-            stretched = build_trajectory(
-                np.column_stack([c * traj.times, traj.coords])
-            )
+            stretched = Trajectory(c * traj.times, traj.coords)
             assert estimate_sigma(stretched).sigma_m == pytest.approx(
                 base / math.sqrt(c), rel=1e-12
             )
@@ -203,12 +206,12 @@ class TestEstimateSigma:
 
     def test_too_few_points(self):
         with pytest.raises(TooFewPointsError):
-            estimate_sigma(build_trajectory([(0, 0, 0), (1, 1, 1)]))
+            estimate_sigma(from_rows([(0, 0, 0), (1, 1, 1)]))
 
     def test_only_triple_degenerate(self):
         # the midpoint sits 1e-13 after its left anchor, so the one triple
         # has a variance weight below VARIANCE_WEIGHT_FLOOR
-        traj = build_trajectory([(0, 0, 0), (1e-13, 1, 1), (1, 2, 2)])
+        traj = from_rows([(0, 0, 0), (1e-13, 1, 1), (1, 2, 2)])
         with pytest.raises(TooFewPointsError, match="no usable triple"):
             estimate_sigma(traj)
 

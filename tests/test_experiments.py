@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bridgefill import experiments
-from bridgefill.errors import TooFewPointsError
+from bridgefill.errors import InvalidSpecError, TooFewPointsError
 from bridgefill.experiments import (
     _quartiles,
     _summarise_cell,
@@ -173,6 +173,13 @@ def _small(kind, **fields):
         "rog-no-gap", "path-length-short", "rog-short-loop", "rog-short-gap"])
 def test_records_equal_per_replicate_reference(config):
     assert list(run_experiment(config).records) == experiment_records(config)
+
+
+def test_path_length_accepts_only_gap_anchors():
+    # path-length scores the closed-form length and no fill, so an anchoring
+    # would be accepted and echoed into the summary without effect.
+    with pytest.raises(InvalidSpecError, match="fill_anchors"):
+        _small("path-length", fill_anchors="loop")
 
 
 def test_too_few_observed_points_raise():

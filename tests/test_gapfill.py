@@ -21,12 +21,12 @@ def _gapped(count, offset=(100.0, -50.0)):
 def _spliced_rogs(gapped, sigma, realisations, seed):
     # Redraw the estimator's noise from the same seed, build the fills with
     # the sequential oracle and splice each one in by hand.
-    left, right = gapped.left_anchor, gapped.right_anchor
-    shifted = gapped.missing_times - left.t
+    left, right = gapped.before.coords[-1], gapped.after.coords[0]
+    shifted = gapped.missing_times - gapped.before.times[-1]
     noise = np.random.default_rng(seed).standard_normal(
         (realisations, len(shifted), 2))
-    fills = bridge_paths_sequential((left.x, left.y), (right.x, right.y),
-                                    gapped.duration, sigma, shifted, noise)
+    fills = bridge_paths_sequential(left, right, gapped.duration, sigma, shifted,
+                                    noise)
     times = np.concatenate(
         [gapped.before.times, gapped.missing_times, gapped.after.times])
     return [

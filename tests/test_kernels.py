@@ -1,4 +1,7 @@
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +10,8 @@ import bridgefill
 from bridgefill import _kernels
 
 from .oracles import bridge_paths_sequential
+
+SRC = str(Path(bridgefill.__file__).resolve().parents[1])
 
 UNEVEN_TIMES = [
     np.array([0.3, 0.31, 2.5, 7.0, 9.99]),
@@ -47,4 +52,10 @@ class TestBridgePaths:
 
 def test_numpy_is_the_only_backend():
     assert bridgefill.BACKEND == "numpy"
-    assert "numba" not in sys.modules
+    # A fresh interpreter: this one has imported the test-only packages.
+    code = ("import sys, bridgefill.cli; print(sorted(m for m in "
+            "('scipy', 'hypothesis', 'pytest', 'numba') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": SRC})
+    assert out.stdout.strip() == "[]"

@@ -18,9 +18,7 @@ from bridgefill.errors import (
 from bridgefill.metrics import path_length
 from bridgefill.trajectory import (
     GappedTrajectory,
-    TimedPoint,
     Trajectory,
-    build_trajectory,
     excise_gap,
     read_trajectory_csv,
     splice_fill,
@@ -29,36 +27,42 @@ from bridgefill.trajectory import (
 
 
 def unit_path(n, slope=2.0):
-    return build_trajectory([(t, slope * t, -t) for t in range(n)])
+    t = np.arange(float(n))
+    return Trajectory(t, np.column_stack([slope * t, -t]))
 
 
 class TestBuildTrajectory:
+    """Building a validated Trajectory from times and coordinates."""
+
     def test_single_point(self):
-        traj = build_trajectory([(0, 0, 0)])
+        traj = Trajectory([0.0], [[0.0, 0.0]])
         assert len(traj) == 1
-        assert traj.point(0) == TimedPoint(0.0, 0.0, 0.0)
+        assert traj.times.tolist() == [0.0]
+        assert traj.coords.tolist() == [[0.0, 0.0]]
 
     def test_duplicate_timestamp(self):
         with pytest.raises(NonMonotonicTimeError):
-            build_trajectory([(0, 0, 0), (1, 1, 0), (1, 2, 0)])
+            Trajectory([0, 1, 1], [[0, 0], [1, 0], [2, 0]])
 
     def test_decreasing_timestamp(self):
         with pytest.raises(NonMonotonicTimeError):
-            build_trajectory([(0, 0, 0), (2, 1, 0), (1, 2, 0)])
+            Trajectory([0, 2, 1], [[0, 0], [1, 0], [2, 0]])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite(self, bad):
         with pytest.raises(NonFiniteError):
-            build_trajectory([(0, 0, 0), (1, bad, 0)])
+            Trajectory([0, 1], [[0, 0], [bad, 0]])
         with pytest.raises(NonFiniteError):
-            build_trajectory([(0, 0, bad)])
+            Trajectory([0], [[0, bad]])
+        with pytest.raises(NonFiniteError):
+            Trajectory([0, bad], [[0, 0], [1, 0]])
 
     def test_empty(self):
         with pytest.raises(ValueError):
-            build_trajectory([])
+            Trajectory([], np.empty((0, 2)))
 
     def test_345_triangle_length(self):
-        traj = build_trajectory([(0, 0, 0), (1, 3, 4)])
+        traj = Trajectory([0, 1], [[0, 0], [3, 4]])
         assert path_length(traj) == 5.0
 
     def test_arrays_are_read_only(self):
@@ -69,9 +73,9 @@ class TestBuildTrajectory:
             traj.coords[0, 0] = 99.0
 
     def test_order_preserved(self):
-        rows = [(0, 5, 6), (2, 7, 8), (5, 9, 10)]
-        traj = build_trajectory(rows)
-        assert [tuple(p) for p in traj] == [(0, 5, 6), (2, 7, 8), (5, 9, 10)]
+        traj = Trajectory([0, 2, 5], [[5, 6], [7, 8], [9, 10]])
+        assert traj.times.tolist() == [0, 2, 5]
+        assert traj.coords.tolist() == [[5, 6], [7, 8], [9, 10]]
 
 
 class TestExciseGap:
@@ -81,8 +85,8 @@ class TestExciseGap:
         assert len(gapped.before) == 50
         assert len(gapped.after) == 50
         assert list(gapped.missing_times) == [float(t) for t in range(50, 150)]
-        assert gapped.left_anchor.t == 49.0
-        assert gapped.right_anchor.t == 150.0
+        assert gapped.before.times[-1] == 49.0
+        assert gapped.after.times[0] == 150.0
         assert gapped.duration == 101.0
 
     def test_zero_count_is_noop_gap(self):
@@ -97,8 +101,8 @@ class TestExciseGap:
         traj = unit_path(1000)
         gapped = excise_gap(traj, 1, 499)
         assert len(gapped.before) == 1
-        assert gapped.before.point(0).t == 0.0
-        assert gapped.after.point(0).t == 500.0
+        assert gapped.before.times[0] == 0.0
+        assert gapped.after.times[0] == 500.0
         assert len(gapped.after) == 500
 
     @pytest.mark.parametrize("from_index,count", [(0, 1), (1, 9), (9, 1), (5, 7)])
@@ -120,14 +124,14 @@ class TestSpliceFill:
 
     def test_linear_fill_positions(self):
         gapped = GappedTrajectory(
-            before=build_trajectory([(0, 0, 0)]),
-            after=build_trajectory([(5, 10, 0)]),
+            before=Trajectory([0.0], [[0.0, 0.0]]),
+            after=Trajectory([5.0], [[10.0, 0.0]]),
             missing_times=np.array([1.0, 2.0, 3.0, 4.0]),
         )
         from bridgefill.gapfill import fill_gap
 
         merged = splice_fill(gapped, fill_gap(gapped, "linear", 0.0, 0), "linear")
-        assert [p.x for p in merged] == [0, 2, 4, 6, 8, 10]
+        assert merged.coords[:, 0].tolist() == [0, 2, 4, 6, 8, 10]
         assert merged.sources == ("observed",) + ("linear",) * 4 + ("observed",)
 
     def test_wrong_shape_rejected(self):
@@ -157,12 +161,12 @@ class TestSpliceFill:
 
 class TestCsv:
     def test_round_trip_is_bit_identical(self, tmp_path):
-        rows = [
-            (0.0, 0.1, -1.0 / 3.0),
-            (0.1 + 1e-17, math.pi, 2.0 ** -1040),
-            (7.25, -12345.678901234567, 9.87e210),
-        ]
-        traj = build_trajectory(rows)
+        traj = Trajectory(
+            [0.0, 0.1 + 1e-17, 7.25],
+            [[0.1, -1.0 / 3.0],
+             [math.pi, 2.0 ** -1040],
+             [-12345.678901234567, 9.87e210]],
+        )
         path = tmp_path / "t.csv"
         write_trajectory_csv(path, traj)
         back = read_trajectory_csv(path)
@@ -214,15 +218,15 @@ class TestCsv:
     )
     @settings(max_examples=40, deadline=None)
     def test_round_trip_random_floats(self, values, tmp_path_factory):
-        rows = [(float(i), v, -v) for i, v in enumerate(values)]
-        traj = build_trajectory(rows)
+        traj = Trajectory(np.arange(float(len(values))),
+                          [(v, -v) for v in values])
         path = tmp_path_factory.mktemp("csv") / "t.csv"
         write_trajectory_csv(path, traj)
         back = read_trajectory_csv(path)
         assert np.array_equal(back.coords, traj.coords)
 
     def test_written_bytes_use_crlf_and_repr(self, tmp_path):
-        traj = build_trajectory([(0, 0.1, -1.0 / 3.0), (2.5, 1e300, -0.0)])
+        traj = Trajectory([0, 2.5], [[0.1, -1.0 / 3.0], [1e300, -0.0]])
         path = tmp_path / "t.csv"
         write_trajectory_csv(path, traj)
         assert path.read_bytes() == (
