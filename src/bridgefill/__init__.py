@@ -47,11 +47,9 @@ from .generators import (
     AngularWalk,
     DiscreteBrownian,
     FixedVelocity,
-    InternalStateTable,
     InternalStateWalk,
     ModelSpec,
     RunTumble,
-    default_internal_state_table,
     generate,
     spec_from_dict,
     spec_to_dict,
@@ -82,8 +80,7 @@ __all__ = [
     "SigmaEstimate", "estimate_sigma",
     # generators
     "ModelSpec", "DiscreteBrownian", "FixedVelocity", "AngularWalk",
-    "InternalStateWalk", "RunTumble", "InternalStateTable",
-    "default_internal_state_table", "generate", "spec_to_dict", "spec_from_dict",
+    "InternalStateWalk", "RunTumble", "generate", "spec_to_dict", "spec_from_dict",
     # metrics
     "path_length", "radius_of_gyration",
     # gapfill

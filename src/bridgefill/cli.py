@@ -6,8 +6,8 @@ Exit codes: 0 success, 2 usage error, 3 data error.
 Model parameters are passed as repeatable ``--param key=value`` flags; the
 same keys appear in experiment config files (JSON). Valid keys per model:
 discrete-brownian: sigma, target_x, target_y; fixed-velocity: v;
-angular-walk: sigma, v; internal-state: uniformity (alias s), step;
-run-tumble: l (alias rate), v.
+angular-walk: sigma, v; internal-state: uniformity, step;
+run-tumble: l, v.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .estimator import estimate_sigma
 from .experiments import (
     KINDS,
     config_from_dict,
-    default_config,
     run_experiment,
     write_records_csv,
     write_summary_json,
@@ -214,27 +213,19 @@ def _cmd_fill(args, parser) -> int:
 
 
 def _cmd_experiment(args, parser) -> int:
+    if args.kind is None and args.config is None:
+        parser.error("experiment needs --kind or --config")
+    data = {}
     if args.config is not None:
         data = json.loads(Path(args.config).read_text())
         if not isinstance(data, dict):
             raise InvalidSpecError(
                 f"{args.config}: a config must be a JSON object, "
                 f"got {type(data).__name__}")
-        if args.replicates is not None:
-            data["replicates"] = args.replicates
-        if args.seed is not None:
-            data["master_seed"] = args.seed
-        if args.kind is not None:
-            data["kind"] = args.kind
-        config = config_from_dict(data)
-    else:
-        if args.kind is None:
-            parser.error("experiment needs --kind or --config")
-        config = default_config(
-            args.kind,
-            replicates=args.replicates if args.replicates is not None else 1000,
-            **({"master_seed": args.seed} if args.seed is not None else {}),
-        )
+    overrides = {"kind": args.kind, "replicates": args.replicates,
+                 "master_seed": args.seed}
+    data.update((k, v) for k, v in overrides.items() if v is not None)
+    config = config_from_dict(data)
     report = run_experiment(config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +58,17 @@ from .bridge import expected_path_length
 from .errors import InvalidSpecError
 from .estimator import estimate_sigmas
 from .gapfill import ANCHOR_MODES, METHODS
-from .generators import ModelSpec, generate_many, spec_from_dict, spec_to_dict
+from .generators import (
+    AngularWalk,
+    DiscreteBrownian,
+    FixedVelocity,
+    InternalStateWalk,
+    ModelSpec,
+    RunTumble,
+    generate_many,
+    spec_from_dict,
+    spec_to_dict,
+)
 from .metrics import path_lengths, radii_of_gyration
 from .seeding import child_seed, make_rng
 
@@ -131,27 +141,19 @@ def default_config(
 ) -> ExperimentConfig:
     """The built-in configuration for either experiment kind."""
     if kind == PATH_LENGTH_KIND:
-        models: tuple[ModelSpec, ...] = tuple(
-            [spec_from_dict({"model": "discrete-brownian", "sigma": s,
-                             "target_x": 10.0, "target_y": 0.0})
-             for s in (0.01, 0.1, 1.0, 10.0)]
-            + [spec_from_dict({"model": "angular-walk", "sigma": s})
-               for s in (0.1, 0.5, 1.0, 5.0)]
-            + [spec_from_dict({"model": "internal-state", "uniformity": u})
-               for u in (0.0, 0.33, 0.66, 1.0)]
-            + [spec_from_dict({"model": "run-tumble", "l": l})
-               for l in (0.1, 0.5, 1.0, 3.0)]
+        models: tuple[ModelSpec, ...] = (
+            *(DiscreteBrownian(sigma=s, target_x=10.0, target_y=0.0)
+              for s in (0.01, 0.1, 1.0, 10.0)),
+            *(AngularWalk(sigma=s) for s in (0.1, 0.5, 1.0, 5.0)),
+            *(InternalStateWalk(uniformity=u) for u in (0.0, 0.33, 0.66, 1.0)),
+            *(RunTumble(l=l) for l in (0.1, 0.5, 1.0, 3.0)),
         )
         return ExperimentConfig(
             kind=kind, models=models, steps=199, gap_start=50, gap_count=100,
             replicates=replicates, master_seed=master_seed,
         )
     if kind == ROG_KIND:
-        models = (
-            spec_from_dict({"model": "fixed-velocity", "v": 1.0}),
-            spec_from_dict({"model": "angular-walk", "sigma": 0.1}),
-            spec_from_dict({"model": "run-tumble", "l": 1.0}),
-        )
+        models = (FixedVelocity(v=1.0), AngularWalk(sigma=0.1), RunTumble(l=1.0))
         return ExperimentConfig(
             kind=kind, models=models, steps=999, gap_start=1, gap_count=499,
             replicates=replicates, master_seed=master_seed,
@@ -160,64 +162,36 @@ def default_config(
     raise InvalidSpecError(f"kind must be one of {KINDS}, got {kind!r}")
 
 
-def _pop_int(data: dict, key: str, default: int) -> int:
-    value = data.pop(key, default)
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not float(value).is_integer()):
-        raise InvalidSpecError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build a configuration from a JSON-compatible mapping.
 
     Unspecified fields fall back to the defaults of the requested kind.
-    Raises InvalidSpecError on a field of the wrong type, a fractional
-    count or a model that is not a mapping.
+    Raises InvalidSpecError on an unknown field, a fractional or
+    non-numeric count, or models that are not a list of model mappings.
     """
-    data = dict(data)
-    kind = data.pop("kind", None)
-    base = default_config(
-        kind,
-        replicates=_pop_int(data, "replicates", 1000),
-        master_seed=_pop_int(data, "master_seed", DEFAULT_MASTER_SEED),
-    )
-    models = data.pop("models", None)
-    if models is not None and not isinstance(models, list):
-        raise InvalidSpecError(f"models must be a list, got {models!r}")
-    fill_anchors = data.pop("fill_anchors", base.fill_anchors)
-    steps = _pop_int(data, "steps", base.steps)
-    gap_start = _pop_int(data, "gap_start", base.gap_start)
-    gap_count = _pop_int(data, "gap_count", base.gap_count)
-    if data:
-        raise InvalidSpecError(f"unknown config field(s): {sorted(data)}")
-    return ExperimentConfig(
-        kind=base.kind,
-        models=(
-            tuple(spec_from_dict(m) for m in models)
-            if models is not None
-            else base.models
-        ),
-        steps=steps,
-        gap_start=gap_start,
-        gap_count=gap_count,
-        replicates=base.replicates,
-        master_seed=base.master_seed,
-        fill_anchors=fill_anchors,
-    )
+    types = {f.name: f.type for f in fields(ExperimentConfig)}
+    unknown = set(data) - set(types)
+    if unknown:
+        raise InvalidSpecError(f"unknown config field(s): {sorted(unknown)}")
+    checked = {}
+    for key, value in data.items():
+        if key == "models":
+            if not isinstance(value, list):
+                raise InvalidSpecError(f"models must be a list, got {value!r}")
+            value = tuple(spec_from_dict(m) for m in value)
+        elif types[key] == "int":  # annotations are strings in this module
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not float(value).is_integer()):
+                raise InvalidSpecError(f"{key} must be an integer, got {value!r}")
+            value = int(value)
+        checked[key] = value
+    return replace(default_config(checked.pop("kind", None)), **checked)
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    return {
-        "kind": config.kind,
-        "models": [spec_to_dict(m) for m in config.models],
-        "steps": config.steps,
-        "gap_start": config.gap_start,
-        "gap_count": config.gap_count,
-        "replicates": config.replicates,
-        "master_seed": config.master_seed,
-        "fill_anchors": config.fill_anchors,
-    }
+    out = {f.name: getattr(config, f.name) for f in fields(config)}
+    out["models"] = [spec_to_dict(m) for m in config.models]
+    return out
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,14 @@
+import dataclasses
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from bridgefill.cli import _detect_gap, main
+from bridgefill import cli
+from bridgefill.cli import _build_parser, _detect_gap, main
 from bridgefill.errors import BridgefillError
+from bridgefill.generators import MODEL_NAMES, _SPECS, spec_from_dict, spec_to_dict
 from bridgefill.metrics import radius_of_gyration
 from bridgefill.trajectory import (
     Trajectory,
@@ -125,10 +128,11 @@ class TestExperiment:
         {"replicates": "two"},
         {"steps": 60.7, "gap_start": 1, "gap_count": 29},
         {"models": [["fixed-velocity"]]},
+        {"models": None},
         {"master_seed": -1},
         {"kind": "path-length", "fill_anchors": "loop"},
     ], ids=["replicates-string", "steps-fraction", "model-not-mapping",
-            "master-seed-negative", "path-length-loop-anchors"])
+            "models-null", "master-seed-negative", "path-length-loop-anchors"])
     def test_bad_config_is_data_error(self, tmp_path, capsys, field):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"kind": "rog", "replicates": 1, **field}))
@@ -152,6 +156,47 @@ class TestExperiment:
         assert main(["experiment", "--config", str(config),
                      "--out", str(tmp_path / "out")]) == 0
         assert json.loads(capsys.readouterr().out)["record_count"] == 4
+
+    @pytest.mark.parametrize("flags, echoed", [
+        (["--kind", "rog"], {"kind": "rog", "fill_anchors": "loop"}),
+        (["--replicates", "2"], {"replicates": 2}),
+        (["--seed", "3"], {"master_seed": 3}),
+    ], ids=["kind", "replicates", "seed"])
+    def test_flags_override_config(self, tmp_path, capsys, flags, echoed):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "kind": "path-length", "replicates": 1, "master_seed": 1,
+            "steps": 60, "gap_start": 1, "gap_count": 29,
+            "models": [{"model": "fixed-velocity"}]}))
+        assert main(["experiment", "--config", str(config), *flags,
+                     "--out", str(tmp_path / "out")]) == 0
+        summary = json.loads(capsys.readouterr().out)["summary"]
+        with open(summary) as fh:
+            echo = json.load(fh)["config"]
+        assert {key: echo[key] for key in echoed} == echoed
+
+    def test_no_kind_and_no_config_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+
+    def test_config_without_kind_is_data_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"replicates": 1}))
+        assert main(["experiment", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 3
+        assert "kind must be one of" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sigma", ["0.5", True], ids=["string", "bool"])
+    def test_non_numeric_model_parameter_is_data_error(self, tmp_path, capsys,
+                                                       sigma):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "kind": "rog", "replicates": 1,
+            "models": [{"model": "angular-walk", "sigma": sigma}]}))
+        assert main(["experiment", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 3
+        assert "sigma must be a number" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -193,6 +238,33 @@ class TestGolden:
 def _traj(times):
     times = np.asarray(times, dtype=float)
     return Trajectory(times, np.column_stack([times, -times]))
+
+
+class TestModelSchemaDrift:
+    """The model names and keys that the CLI documents and accepts are the
+    spec dataclasses' own."""
+
+    def test_model_choices(self):
+        subparsers = _build_parser()._subparsers._group_actions[0]
+        simulate = subparsers.choices["simulate"]
+        (model,) = [a for a in simulate._actions if a.dest == "model"]
+        assert tuple(model.choices) == MODEL_NAMES
+
+    def test_docstring_keys(self):
+        listing = cli.__doc__.split("Valid keys per model:")[1]
+        documented = {}
+        for entry in " ".join(listing.split()).rstrip(".").split(";"):
+            name, keys = entry.split(":")
+            documented[name.strip()] = [k.strip() for k in keys.split(",")]
+        assert documented == {
+            cls.model: [f.name for f in dataclasses.fields(cls)] for cls in _SPECS}
+
+    @pytest.mark.parametrize("cls", _SPECS, ids=lambda cls: cls.model)
+    def test_defaults_round_trip_through_json(self, cls):
+        required = {f.name: 1.0 for f in dataclasses.fields(cls)
+                    if f.default is dataclasses.MISSING}
+        spec = cls(**required)
+        assert spec_from_dict(json.loads(json.dumps(spec_to_dict(spec)))) == spec
 
 
 class TestDetectGap:

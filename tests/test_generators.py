@@ -9,11 +9,10 @@ from bridgefill.generators import (
     AngularWalk,
     DiscreteBrownian,
     FixedVelocity,
-    InternalStateTable,
     InternalStateWalk,
     RunTumble,
-    default_internal_state_table,
-    effective_state_probs,
+    _MOVING_PROBS,
+    _STATIONARY_PROBS,
     generate,
     generate_many,
     spec_from_dict,
@@ -27,11 +26,11 @@ from .oracles import internal_state_loop
 
 ALL_SPECS = [
     DiscreteBrownian(sigma=0.5),
-    DiscreteBrownian(sigma=1.0, target=(10.0, 0.0)),
+    DiscreteBrownian(sigma=1.0, target_x=10.0, target_y=0.0),
     FixedVelocity(v=2.0),
     AngularWalk(sigma=0.3, v=1.0),
     InternalStateWalk(uniformity=0.4, step=0.5),
-    RunTumble(rate=1.0, v=1.0),
+    RunTumble(l=1.0, v=1.0),
 ]
 
 
@@ -70,14 +69,17 @@ class TestGenerateMany:
         with pytest.raises(InvalidSpecError):
             generate_many(FixedVelocity(), 2.5, [1])
 
+    def test_needs_a_seed(self):
+        with pytest.raises(InvalidSpecError, match="at least one seed"):
+            generate_many(FixedVelocity(), 5, [])
+
 
 class TestInternalStateWalker:
     @pytest.mark.parametrize("uniformity", [0.0, 0.33, 0.66, 1.0])
     def test_closed_form_matches_loop(self, uniformity):
         # 4 x 300 seeds, drawn as the generator draws them.
-        moving, stationary = effective_state_probs(
-            default_internal_state_table(), uniformity)
-        c = np.cumsum(moving)
+        stationary = (1.0 - uniformity) * _STATIONARY_PROBS + uniformity / 2
+        c = np.cumsum((1.0 - uniformity) * _MOVING_PROBS + uniformity / 5)
         draws = []
         for seed in range(300):
             rng = make_rng(child_seed(5, seed))
@@ -134,25 +136,25 @@ class TestRunTumble:
         return np.mean(np.abs(np.diff(angles)) > 1e-9)
 
     def test_direction_change_frequency(self):
-        traj = generate(RunTumble(rate=1.0), 100_000, 42)
+        traj = generate(RunTumble(l=1.0), 100_000, 42)
         assert self._change_frequency(traj) == pytest.approx(
             1.0 - math.exp(-1.0), abs=0.01
         )
 
     def test_small_rate_rarely_turns(self):
-        traj = generate(RunTumble(rate=0.01), 10_000, 7)
+        traj = generate(RunTumble(l=0.01), 10_000, 7)
         assert self._change_frequency(traj) == pytest.approx(
             1.0 - math.exp(-0.01), abs=0.005
         )
 
     def test_rate_must_be_positive(self):
         with pytest.raises(InvalidSpecError):
-            RunTumble(rate=0.0)
+            RunTumble(l=0.0)
 
 
 class TestDiscreteBrownian:
     def test_pinned_target_is_exact(self):
-        spec = DiscreteBrownian(sigma=1.0, target=(10.0, 0.0))
+        spec = DiscreteBrownian(sigma=1.0, target_x=10.0, target_y=0.0)
         for seed in range(5):
             traj = generate(spec, 200, seed)
             assert np.array_equal(traj.coords[-1], [10.0, 0.0])
@@ -161,7 +163,8 @@ class TestDiscreteBrownian:
         # per-step increments about the linear trend are Gaussian with the
         # requested scale (up to the 1/n bridge correction)
         sigma, steps = 0.7, 10_000
-        traj = generate(DiscreteBrownian(sigma=sigma, target=(10.0, 0.0)), steps, 11)
+        traj = generate(DiscreteBrownian(sigma=sigma, target_x=10.0, target_y=0.0),
+                        steps, 11)
         trend = np.array([10.0, 0.0]) / steps
         residuals = np.diff(traj.coords, axis=0) - trend
         pooled = residuals.ravel()
@@ -188,29 +191,33 @@ class TestInternalState:
         assert (steps > 0).any()
 
     def test_default_table(self):
-        table = default_internal_state_table()
-        moving_sum = (table.keep_heading + table.turn_left + table.turn_right
-                      + table.reverse + table.stop)
-        assert moving_sum == 1.0
-        assert table.stay_stopped + table.start_moving == 1.0
-        assert table.reverse < table.turn_left == table.turn_right < table.keep_heading
+        keep, left, right, reverse, stop = _MOVING_PROBS
+        assert list(_MOVING_PROBS) == [0.85, 0.06, 0.06, 0.01, 0.02]
+        assert list(_STATIONARY_PROBS) == [0.95, 0.05]
+        assert keep + left + right + reverse + stop == 1.0
+        assert _STATIONARY_PROBS.sum() == 1.0
+        assert reverse < left == right < keep
 
-    def test_uniform_blend_extremes(self):
-        table = default_internal_state_table()
-        moving, stationary = effective_state_probs(table, 1.0)
-        assert moving == pytest.approx(np.full(5, 0.2))
-        assert stationary == pytest.approx(np.full(2, 0.5))
-        moving0, stationary0 = effective_state_probs(table, 0.0)
-        assert moving0 == pytest.approx([0.85, 0.06, 0.06, 0.01, 0.02])
-        assert stationary0 == pytest.approx([0.95, 0.05])
+    def test_uniform_blend_extremes(self, monkeypatch):
+        # The cumulative moving cuts and the stay-stopped probability the
+        # generator hands to the kernel.
+        seen = []
+        kernel = _kernels.internal_state_positions
+
+        def spy(heading0, step, c0, c1, c2, c3, stay, *rest):
+            seen.append(([c0, c1, c2, c3], stay))
+            return kernel(heading0, step, c0, c1, c2, c3, stay, *rest)
+
+        monkeypatch.setattr(_kernels, "internal_state_positions", spy)
+        generate(InternalStateWalk(uniformity=1.0), 10, 1)
+        generate(InternalStateWalk(uniformity=0.0), 10, 1)
+        (cuts1, stay1), (cuts0, stay0) = seen
+        assert cuts1 == pytest.approx([0.2, 0.4, 0.6, 0.8])
+        assert stay1 == pytest.approx(0.5)
+        assert cuts0 == pytest.approx(np.cumsum([0.85, 0.06, 0.06, 0.01]))
+        assert stay0 == pytest.approx(0.95)
 
     def test_table_validation(self):
-        with pytest.raises(InvalidSpecError):
-            InternalStateTable(0.9, 0.06, 0.05, 0.01, -0.02, 0.95, 0.05)
-        with pytest.raises(InvalidSpecError):
-            InternalStateTable(0.85, 0.07, 0.05, 0.01, 0.02, 0.95, 0.05)
-        with pytest.raises(InvalidSpecError):
-            InternalStateTable(0.05, 0.06, 0.06, 0.01, 0.82, 0.95, 0.05)
         with pytest.raises(InvalidSpecError):
             InternalStateWalk(uniformity=1.5)
 
@@ -229,16 +236,31 @@ class TestSerialisation:
             spec_from_dict({"model": "fixed-velocity", "speed": 1.0})
 
     def test_aliases(self):
-        assert spec_from_dict({"model": "run-tumble", "l": 2.0}) == RunTumble(rate=2.0)
-        assert spec_from_dict(
-            {"model": "internal-state", "s": 0.5}
-        ) == InternalStateWalk(uniformity=0.5)
+        # One key per value: the former aliases ``rate`` and ``s`` are
+        # unknown parameters.
+        assert spec_from_dict({"model": "run-tumble", "l": 2.0}) == RunTumble(l=2.0)
+        for data in ({"model": "run-tumble", "l": 1.0, "rate": 2.0},
+                     {"model": "internal-state", "uniformity": 0.1, "s": 0.9}):
+            with pytest.raises(InvalidSpecError, match="unknown parameter"):
+                spec_from_dict(data)
+
+    def test_integer_parameters_become_floats(self):
+        spec = spec_from_dict({"model": "discrete-brownian", "sigma": 2,
+                               "target_x": 3, "target_y": -1})
+        params = spec_to_dict(spec)
+        assert params.pop("model") == "discrete-brownian"
+        assert params == {"sigma": 2.0, "target_x": 3.0, "target_y": -1.0}
+        assert {type(v) for v in params.values()} == {float}
 
     def test_half_target_rejected(self):
         with pytest.raises(InvalidSpecError):
             spec_from_dict({"model": "discrete-brownian", "sigma": 1.0,
                             "target_x": 10.0})
+        with pytest.raises(InvalidSpecError, match="together"):
+            DiscreteBrownian(target_y=1.0)
+        with pytest.raises(InvalidSpecError, match="finite"):
+            DiscreteBrownian(target_x=math.inf, target_y=0.0)
 
     def test_run_tumble_requires_rate(self):
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(InvalidSpecError, match="run-tumble requires parameter l"):
             spec_from_dict({"model": "run-tumble"})
