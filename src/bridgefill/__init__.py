@@ -3,20 +3,17 @@
 The package estimates a diffusion coefficient from the observed points by
 maximum likelihood, reconstructs the missing window with an
 exact-endpoint bridge or a straight line (``fill_gap``), and reports the
-gap's expected path length (closed form) and radius of gyration (Monte
-Carlo). A CLI
-(``bridgefill``) exposes simulation of five synthetic movement models, gap
-handling, and the two batch experiments.
+gap's expected path length (closed form, ``expected_path_length``) and
+radius of gyration (Monte Carlo, ``estimate_gap_rog``). Every bridge, in
+the CLI and in the experiments, is drawn by one array kernel,
+``_kernels.bridge_paths``. A CLI (``bridgefill``) exposes simulation of
+five synthetic movement models, gap handling, and the two batch
+experiments.
 """
 
 from ._version import __version__
 from ._kernels import BACKEND
-from .bridge import (
-    BridgeParams,
-    expected_path_length,
-    sample_bridge,
-    sample_bridge_many,
-)
+from .bridge import expected_path_length
 from .errors import (
     BridgefillError,
     CsvFormatError,
@@ -75,7 +72,7 @@ __all__ = [
     # special functions
     "bessel_i_scaled", "laguerre_half", "rice_mean",
     # bridge
-    "BridgeParams", "sample_bridge", "sample_bridge_many", "expected_path_length",
+    "expected_path_length",
     # estimator
     "SigmaEstimate", "estimate_sigma",
     # generators

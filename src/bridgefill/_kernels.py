@@ -20,10 +20,16 @@ def bridge_paths(start, end, duration, sigma_m, times, noise):
     returns (m, k, 2) positions. ``start`` and ``end`` are one (2,) point
     or one per path, (m, 2); ``sigma_m`` is a scalar or one per path, (m,).
 
-    Closed form of sequential conditioning on the previous point and the
-    endpoint: the deviation from the chord at t_j is
-    (T - t_j) * sum_{i<=j} sd_i n_i / (T - t_i), with sd_i the conditional
-    standard deviation of step i. ``noise`` is read, never written.
+    Exact at any interior times, with pinned endpoints: at time t a point
+    is Gaussian around the chord with per-coordinate variance
+    sigma_m^2 t (T - t) / T. Conditioning each point on the previous one
+    and the endpoint adds step noise sd_i n_i, sd_i the conditional
+    standard deviation of step i; unrolled, the deviation from the chord
+    at t_j is (T - t_j) * sum_{i<=j} sd_i n_i / (T - t_i), the discrete
+    form of X_t = (T - t) * integral_0^t dW_s / (T - s) (Glasserman,
+    *Monte Carlo Methods in Financial Engineering*, 2004, section 3.1).
+    One cumulative sum over the noise builds all paths. ``noise`` is read,
+    never written.
     """
     start = np.asarray(start, dtype=float)[..., None, :]
     end = np.asarray(end, dtype=float)[..., None, :]

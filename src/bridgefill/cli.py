@@ -128,38 +128,31 @@ def _cmd_gap(args, parser) -> int:
     return 0
 
 
+def _print_json(obj: dict) -> None:
+    json.dump(obj, sys.stdout, indent=2, sort_keys=True)
+    print()
+
+
 def _cmd_estimate(args, parser) -> int:
     traj = read_trajectory_csv(args.infile)
     est = estimate_sigma(traj)
-    json.dump(
-        {
-            "sigma_hat": est.sigma_m,
-            "log_likelihood": est.log_likelihood_at_max,
-            "n_triples": est.n_triples,
-            "n_skipped": est.n_skipped,
-            "clamped": est.clamped,
-        },
-        sys.stdout,
-        indent=2,
-        sort_keys=True,
-    )
-    print()
+    _print_json({
+        "sigma_hat": est.sigma_m,
+        "log_likelihood": est.log_likelihood_at_max,
+        "n_triples": est.n_triples,
+        "n_skipped": est.n_skipped,
+        "clamped": est.clamped,
+    })
     return 0
 
 
 def _cmd_metrics(args, parser) -> int:
     traj = read_trajectory_csv(args.infile)
-    json.dump(
-        {
-            "path_length": path_length(traj),
-            "rog": radius_of_gyration(traj),
-            "point_count": len(traj),
-        },
-        sys.stdout,
-        indent=2,
-        sort_keys=True,
-    )
-    print()
+    _print_json({
+        "path_length": path_length(traj),
+        "rog": radius_of_gyration(traj),
+        "point_count": len(traj),
+    })
     return 0
 
 
@@ -207,8 +200,7 @@ def _cmd_fill(args, parser) -> int:
     filled = splice_fill(gapped, fill, args.method)
     summary["rog_filled"] = radius_of_gyration(filled)
     write_trajectory_csv(args.out, filled)
-    json.dump(summary, sys.stdout, indent=2, sort_keys=True)
-    print()
+    _print_json(summary)
     return 0
 
 
@@ -234,17 +226,11 @@ def _cmd_experiment(args, parser) -> int:
     summary_path = out_dir / f"{stem}_summary.json"
     write_records_csv(report, records_path)
     write_summary_json(report, summary_path)
-    json.dump(
-        {
-            "records": str(records_path),
-            "summary": str(summary_path),
-            "record_count": len(report.records),
-        },
-        sys.stdout,
-        indent=2,
-        sort_keys=True,
-    )
-    print()
+    _print_json({
+        "records": str(records_path),
+        "summary": str(summary_path),
+        "record_count": len(report.records),
+    })
     return 0
 
 

@@ -166,8 +166,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     """Build a configuration from a JSON-compatible mapping.
 
     Unspecified fields fall back to the defaults of the requested kind.
-    Raises InvalidSpecError on an unknown field, a fractional or
-    non-numeric count, or models that are not a list of model mappings.
+    Raises InvalidSpecError on an unknown field, a fractional,
+    non-numeric or float-overflowing count, or models that are not a list
+    of model mappings.
     """
     types = {f.name: f.type for f in fields(ExperimentConfig)}
     unknown = set(data) - set(types)
@@ -180,8 +181,13 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                 raise InvalidSpecError(f"models must be a list, got {value!r}")
             value = tuple(spec_from_dict(m) for m in value)
         elif types[key] == "int":  # annotations are strings in this module
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not float(value).is_integer()):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise InvalidSpecError(f"{key} must be an integer, got {value!r}")
+            try:
+                whole = float(value).is_integer()
+            except OverflowError:
+                raise InvalidSpecError(f"{key} is too large for a float") from None
+            if not whole:
                 raise InvalidSpecError(f"{key} must be an integer, got {value!r}")
             value = int(value)
         checked[key] = value

@@ -11,18 +11,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bridge import (
-    BridgeParams,
-    expected_path_length,
-    sample_bridge,
-    sample_bridge_many,
-)
+from . import _kernels
+from .bridge import expected_path_length
 from .errors import DomainError
+from .seeding import make_rng
 from .trajectory import GappedTrajectory
 
 DEFAULT_ROG_REALISATIONS = 1000
 METHODS = ("bridge", "linear")
 ANCHOR_MODES = ("gap", "loop")
+
+
+def _bridges(
+    gapped: GappedTrajectory,
+    start: np.ndarray,
+    sigma_m: float,
+    n: int,
+    rng: int | np.random.Generator,
+) -> np.ndarray:
+    """``n`` bridges from ``start`` to the right anchor over the gap's time
+    geometry, at ``gapped.missing_times``; shape (n, n_missing, 2)."""
+    if not (math.isfinite(sigma_m) and sigma_m >= 0.0):
+        raise DomainError(f"sigma_m must be >= 0, got {sigma_m!r}")
+    shifted = gapped.missing_times - gapped.before.times[-1]
+    noise = make_rng(rng).standard_normal((n, gapped.n_missing, 2))
+    return _kernels.bridge_paths(start, gapped.after.coords[0], gapped.duration,
+                                 sigma_m, shifted, noise)
 
 
 def fill_gap(
@@ -44,12 +58,10 @@ def fill_gap(
     if method not in METHODS or anchors not in ANCHOR_MODES:
         raise DomainError(f"unknown fill {method!r} with anchors {anchors!r}")
     start = (gapped.after if anchors == "loop" else gapped.before).coords[-1]
-    end = gapped.after.coords[0]
-    duration = gapped.duration
+    if method == "bridge":
+        return _bridges(gapped, start, sigma_m, 1, rng)[0]
     shifted = gapped.missing_times - gapped.before.times[-1]
-    if method == "linear":
-        return start + np.outer(shifted / duration, end - start)
-    return sample_bridge(BridgeParams(start, end, duration, sigma_m), shifted, rng)
+    return start + np.outer(shifted / gapped.duration, gapped.after.coords[0] - start)
 
 
 def estimate_gap_length(gapped: GappedTrajectory, sigma_m: float) -> float:
@@ -96,15 +108,12 @@ def estimate_gap_rog(
     """
     if realisations < 1:
         raise DomainError(f"realisations must be >= 1, got {realisations}")
-    shifted = gapped.missing_times - gapped.before.times[-1]
-    params = BridgeParams(gapped.before.coords[-1], gapped.after.coords[0],
-                          gapped.duration, sigma_m)
-    fills = sample_bridge_many(params, shifted, realisations, rng)
+    fills = _bridges(gapped, gapped.before.coords[-1], sigma_m, realisations, rng)
     observed = np.concatenate([gapped.before.coords, gapped.after.coords])
     centre = observed.mean(axis=0)
     observed -= centre
     fills -= centre
-    n_total = len(observed) + len(shifted)
+    n_total = len(observed) + gapped.n_missing
     sum_sq = (observed ** 2).sum() + (fills ** 2).sum(axis=(1, 2))
     mean_offset = (observed.sum(axis=0) + fills.sum(axis=1)) / n_total
     rogs = np.sqrt(sum_sq / n_total - (mean_offset ** 2).sum(axis=1))

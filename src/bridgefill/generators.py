@@ -239,8 +239,9 @@ def spec_to_dict(spec: ModelSpec) -> dict:
 
 def spec_from_dict(data: dict) -> ModelSpec:
     """Inverse of :func:`spec_to_dict`; raises InvalidSpecError on unknown
-    models or parameters, a parameter that is not a number, a missing
-    required parameter, or when ``data`` is not a mapping."""
+    models or parameters, a parameter that is not a number or overflows a
+    float, a missing required parameter, or when ``data`` is not a
+    mapping."""
     if not isinstance(data, dict):
         raise InvalidSpecError(f"a model spec must be a mapping, got {data!r}")
     params = dict(data)
@@ -258,7 +259,11 @@ def spec_from_dict(data: dict) -> ModelSpec:
     for key, value in params.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise InvalidSpecError(f"{key} must be a number, got {value!r}")
+        try:
+            params[key] = float(value)
+        except OverflowError:
+            raise InvalidSpecError(f"{key} is too large for a float") from None
     for f in fields(cls):
         if f.default is MISSING and f.name not in params:
             raise InvalidSpecError(f"{name} requires parameter {f.name}")
-    return cls(**{k: float(v) for k, v in params.items()})
+    return cls(**params)

@@ -25,63 +25,34 @@ RICE_MEAN_ASYMPTOTIC_CUT = 1.0e8
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 
 
-def _i0_series(x: float) -> float:
-    # I0(x) = sum_k (x^2/4)^k / (k!)^2; all terms positive, no cancellation.
+def _series(order: int, x: float) -> float:
+    # I_n(x) = sum_k (x/2)^(2k+n) / (k! (k+n)!) for n = 0, 1; all terms
+    # positive, no cancellation.
     q = 0.25 * x * x
-    term = 1.0
-    total = 1.0
-    k = 0
-    while True:
-        k += 1
-        term *= q / (k * k)
-        total += term
-        if term <= total * 1e-18:
-            return total
-
-
-def _i1_series(x: float) -> float:
-    # I1(x) = sum_k (x/2)^(2k+1) / (k! (k+1)!).
-    q = 0.25 * x * x
-    term = 0.5 * x
+    term = 1.0 if order == 0 else 0.5 * x
     total = term
     k = 0
     while True:
         k += 1
-        term *= q / (k * (k + 1))
+        term *= q / (k * (k + order))
         total += term
         if term <= total * 1e-18:
             return total
 
 
-def _i0e_asym(x: float) -> float:
-    # e^-x I0(x) for x >= SERIES_ASYM_SEAM; terms summed until they stop
-    # decreasing (optimal truncation, error ~ e^-2x relative).
+def _asym(order: int, x: float) -> float:
+    # e^-x I_n(x) for x >= SERIES_ASYM_SEAM, from the terms
+    # prod_{j<=k} ((2j-1)^2 - 4n^2) / (8jx), summed until they stop
+    # decreasing (optimal truncation, error ~ e^-2x relative). For n = 1
+    # the first term is negative and the later factors positive, so all
+    # corrections share its sign.
     inv8x = 1.0 / (8.0 * x)
+    mu = 4.0 * order * order
     term = 1.0
     total = 1.0
     k = 1
     while True:
-        nxt = term * ((2 * k - 1) * (2 * k - 1)) * inv8x / k
-        if nxt >= term or nxt <= total * 1e-18:
-            if nxt < term:
-                total += nxt
-            break
-        term = nxt
-        total += term
-        k += 1
-    return total / math.sqrt(2.0 * math.pi * x)
-
-
-def _i1e_asym(x: float) -> float:
-    # e^-x I1(x) for x >= SERIES_ASYM_SEAM. After the first term the factors
-    # ((2k-1)^2 - 4) / (8kx) are positive, so all correction terms share the
-    # sign of the first one (negative).
-    inv8x = 1.0 / (8.0 * x)
-    term = -3.0 * inv8x
-    total = 1.0 + term
-    k = 2
-    while True:
-        nxt = term * ((2 * k - 1) * (2 * k - 1) - 4.0) * inv8x / k
+        nxt = term * ((2 * k - 1) * (2 * k - 1) - mu) * inv8x / k
         if abs(nxt) >= abs(term) or abs(nxt) <= total * 1e-18:
             if abs(nxt) < abs(term):
                 total += nxt
@@ -103,10 +74,9 @@ def bessel_i_scaled(order: int, x: float) -> float:
         raise DomainError(f"argument must be finite, got {x!r}")
     ax = abs(x)
     if ax <= SERIES_ASYM_SEAM:
-        base = _i0_series(ax) if order == 0 else _i1_series(ax)
-        value = base * math.exp(-ax)
+        value = _series(order, ax) * math.exp(-ax)
     else:
-        value = _i0e_asym(ax) if order == 0 else _i1e_asym(ax)
+        value = _asym(order, ax)
     if order == 1 and x < 0.0:
         value = -value
     return value

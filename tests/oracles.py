@@ -4,8 +4,8 @@ Deliberately disjoint from the package's own evaluation paths: the Rice
 mean is integrated directly against the 2-D Gaussian density in polar
 coordinates (no Bessel functions anywhere), the Bessel oracle is plain
 term-by-term series summation with exact accumulation, and the bridge
-oracle conditions each point on the previous one and the endpoint in a
-scalar loop (the package uses the unrolled closed form). Sampled
+oracle conditions each point on the previous one and the endpoint, one
+step at a time (the package uses the unrolled closed form). Sampled
 discretised bridge lengths are the Monte-Carlo counterpart of the
 closed-form expected length. The sigma_m likelihood is summed triple by
 triple over point objects (the package reduces whole arrays), the
@@ -23,13 +23,12 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy import integrate
 
-from bridgefill.bridge import BridgeParams, sample_bridge_many
 from bridgefill.errors import DomainError, TooFewPointsError
 from bridgefill.estimator import VARIANCE_WEIGHT_FLOOR, estimate_sigma
 from bridgefill.gapfill import METHODS, estimate_gap_length, fill_gap
 from bridgefill.generators import generate, spec_to_dict
 from bridgefill.metrics import path_length, radius_of_gyration
-from bridgefill.seeding import child_seed
+from bridgefill.seeding import child_seed, make_rng
 from bridgefill.trajectory import Trajectory, excise_gap, splice_fill
 
 
@@ -107,40 +106,39 @@ def polyline_length(points: np.ndarray) -> float:
 
 
 def bridge_paths_sequential(start, end, duration, sigma_m, times, noise):
-    """Bridges by sequential conditioning, one scalar step at a time.
+    """Bridges by sequential conditioning, one time step at a time.
 
     Each point is Gaussian given the previous point and the fixed endpoint:
     mean moves the fraction dt / (T - t_prev) of the way to the endpoint,
     standard deviation sigma_m sqrt(dt (T - t) / (T - t_prev)). ``noise``
-    (m, k, 2) standard normals; returns (m, k, 2) positions.
+    (m, k, 2) standard normals; returns (m, k, 2) positions. The m paths
+    step together, each by the same scalar arithmetic.
     """
     m, k = noise.shape[0], noise.shape[1]
     out = np.empty((m, k, 2))
-    for i in range(m):
-        px, py = start
-        t_prev = 0.0
-        for j in range(k):
-            dt = times[j] - t_prev
-            rem = duration - t_prev
-            w = dt / rem
-            sd = sigma_m * math.sqrt(dt * (rem - dt) / rem)
-            px = px + w * (end[0] - px) + sd * noise[i, j, 0]
-            py = py + w * (end[1] - py) + sd * noise[i, j, 1]
-            out[i, j] = px, py
-            t_prev = times[j]
+    end = np.asarray(end, dtype=float)
+    p = np.broadcast_to(np.asarray(start, dtype=float), (m, 2))
+    t_prev = 0.0
+    for j in range(k):
+        dt = times[j] - t_prev
+        rem = duration - t_prev
+        w = dt / rem
+        sd = sigma_m * math.sqrt(dt * (rem - dt) / rem)
+        p = p + w * (end - p) + sd * noise[:, j]
+        out[:, j] = p
+        t_prev = times[j]
     return out
 
 
-def bridge_marginal(params: BridgeParams, t: float) -> tuple[np.ndarray, float]:
-    """Mean point and per-coordinate variance of the bridge at time t."""
-    if not (0.0 <= t <= params.duration):
-        raise DomainError(
-            f"t must lie in [0, {params.duration}], got {t!r}"
-        )
-    start = np.array(params.start, dtype=float)
-    displacement = np.array(params.end, dtype=float) - start
-    mean = start + (t / params.duration) * displacement
-    var = params.sigma_m ** 2 * t * (params.duration - t) / params.duration
+def bridge_marginal(start, end, duration: float, sigma_m: float,
+                    t: float) -> tuple[np.ndarray, float]:
+    """Mean point and per-coordinate variance at time t of the bridge from
+    ``start`` at 0 to ``end`` at ``duration``."""
+    if not (0.0 <= t <= duration):
+        raise DomainError(f"t must lie in [0, {duration}], got {t!r}")
+    start = np.array(start, dtype=float)
+    mean = start + (t / duration) * (np.array(end, dtype=float) - start)
+    var = sigma_m ** 2 * t * (duration - t) / duration
     return mean, var
 
 
@@ -156,8 +154,9 @@ def sample_path_lengths(
 
     Each bridge runs from the origin to ``displacement`` and is sampled at
     the ``segments - 1`` equally spaced interior times by
-    ``sample_bridge_many``. Its length is the sum of the step norms, both
-    endpoints included: the Monte-Carlo counterpart of
+    ``bridge_paths_sequential``, driven by one draw of shape
+    ``(n_samples, segments - 1, 2)`` from ``rng``. Its length is the sum of
+    the step norms, both endpoints included: the Monte-Carlo counterpart of
     ``expected_path_length``.
     """
     if not isinstance(segments, (int, np.integer)) or segments < 1:
@@ -167,9 +166,10 @@ def sample_path_lengths(
     dx, dy = map(float, displacement)
     if segments == 1 or sigma_m == 0.0:
         return np.full(n_samples, math.hypot(dx, dy))
-    params = BridgeParams((0.0, 0.0), (dx, dy), float(duration), float(sigma_m))
-    times = params.duration * np.arange(1, segments) / segments
-    paths = sample_bridge_many(params, times, n_samples, rng)
+    times = duration * np.arange(1, segments) / segments
+    noise = make_rng(rng).standard_normal((n_samples, segments - 1, 2))
+    paths = bridge_paths_sequential((0.0, 0.0), (dx, dy), duration, sigma_m,
+                                    times, noise)
     ends = np.zeros((n_samples, 1, 2))
     steps = np.diff(paths, axis=1, prepend=ends, append=ends + (dx, dy))
     return np.hypot(steps[..., 0], steps[..., 1]).sum(axis=1)

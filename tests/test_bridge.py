@@ -4,85 +4,90 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bridgefill.bridge import (
-    BridgeParams,
-    expected_path_length,
-    sample_bridge,
-    sample_bridge_many,
-)
-from bridgefill.errors import DomainError
+from bridgefill import _kernels
+from bridgefill.bridge import expected_path_length
+from bridgefill.errors import DomainError, NonMonotonicTimeError
+from bridgefill.gapfill import estimate_gap_rog, fill_gap
 from bridgefill.seeding import make_rng
+from bridgefill.trajectory import GappedTrajectory, Trajectory
 
 from .oracles import bridge_marginal, polyline_length, sample_path_lengths
 
 
+def draw(start, end, duration, sigma, times, n, seed):
+    """``n`` kernel bridges at ``times``, driven by one draw from ``seed``."""
+    noise = make_rng(seed).standard_normal((n, len(times), 2))
+    return _kernels.bridge_paths(start, end, duration, sigma, times, noise)
+
+
+def gap(start, end, duration, missing):
+    """A gap from ``start`` at 0 to ``end`` at ``duration``."""
+    return GappedTrajectory(Trajectory([0.0], [start]),
+                            Trajectory([duration], [end]),
+                            np.asarray(missing, dtype=float))
+
+
 class TestBridgeMarginal:
     def test_pinned_endpoints(self):
-        p = BridgeParams((1, 2), (3, -4), 10.0, 1.5)
-        mean0, var0 = bridge_marginal(p, 0.0)
-        meanT, varT = bridge_marginal(p, 10.0)
+        mean0, var0 = bridge_marginal((1, 2), (3, -4), 10.0, 1.5, 0.0)
+        meanT, varT = bridge_marginal((1, 2), (3, -4), 10.0, 1.5, 10.0)
         assert np.array_equal(mean0, [1, 2]) and var0 == 0.0
         assert np.array_equal(meanT, [3, -4]) and varT == 0.0
 
     def test_reference_midpoint(self):
         # sigma_m = 2, duration 100, displacement (30, 15): halfway the mean
         # is (15, 7.5) and the per-coordinate variance 4 * 50 * 50 / 100.
-        p = BridgeParams((0, 0), (30, 15), 100.0, 2.0)
-        mean, var = bridge_marginal(p, 50.0)
+        mean, var = bridge_marginal((0, 0), (30, 15), 100.0, 2.0, 50.0)
         assert mean == pytest.approx([15.0, 7.5])
         assert var == pytest.approx(100.0)
 
     def test_variance_peaks_at_halftime(self):
-        p = BridgeParams((0, 0), (1, 1), 42.0, 0.7)
-        _, var = bridge_marginal(p, 21.0)
+        _, var = bridge_marginal((0, 0), (1, 1), 42.0, 0.7, 21.0)
         assert var == pytest.approx(0.7 ** 2 * 42.0 / 4.0)
 
     @pytest.mark.parametrize("t", [-0.1, 10.1])
     def test_domain(self, t):
         with pytest.raises(DomainError):
-            bridge_marginal(BridgeParams((0, 0), (1, 1), 10.0, 1.0), t)
-
-    def test_params_validation(self):
-        with pytest.raises(DomainError):
-            BridgeParams((0, 0), (1, 1), 0.0, 1.0)
-        with pytest.raises(DomainError):
-            BridgeParams((0, 0), (1, 1), 1.0, -1.0)
-        with pytest.raises(DomainError):
-            BridgeParams((0, math.nan), (1, 1), 1.0, 1.0)
+            bridge_marginal((0, 0), (1, 1), 10.0, 1.0, t)
 
 
 class TestSampleBridge:
     def test_zero_sigma_is_straight_line(self):
-        p = BridgeParams((1, 1), (11, 6), 10.0, 0.0)
         times = np.arange(1.0, 10.0)
-        pts = sample_bridge(p, times, 0)
+        [pts] = draw((1, 1), (11, 6), 10.0, 0.0, times, 1, 0)
         expected = np.array([1, 1]) + np.outer(times / 10.0, [10, 5])
         assert pts == pytest.approx(expected, abs=1e-12)
 
     def test_empty_times(self):
-        p = BridgeParams((0, 0), (1, 1), 10.0, 1.0)
-        assert sample_bridge(p, np.array([]), 0).shape == (0, 2)
+        assert draw((0, 0), (1, 1), 10.0, 1.0, np.array([]), 3, 0).shape == (3, 0, 2)
+        assert fill_gap(gap((0, 0), (1, 1), 10.0, []), "bridge", 1.0, 0).shape == (0, 2)
 
     def test_deterministic(self):
-        p = BridgeParams((0, 0), (1, 1), 10.0, 1.0)
-        times = np.arange(1.0, 10.0)
-        assert np.array_equal(sample_bridge(p, times, 7), sample_bridge(p, times, 7))
-        assert not np.array_equal(
-            sample_bridge(p, times, 7), sample_bridge(p, times, 8)
-        )
+        gapped = gap((0, 0), (1, 1), 10.0, np.arange(1.0, 10.0))
+        assert np.array_equal(fill_gap(gapped, "bridge", 1.0, 7),
+                              fill_gap(gapped, "bridge", 1.0, 7))
+        assert not np.array_equal(fill_gap(gapped, "bridge", 1.0, 7),
+                                  fill_gap(gapped, "bridge", 1.0, 8))
 
     @pytest.mark.parametrize("times", [[5.0, 5.0], [9.0, 3.0], [0.0, 5.0], [5.0, 10.0]])
     def test_bad_times(self, times):
-        p = BridgeParams((0, 0), (1, 1), 10.0, 1.0)
-        with pytest.raises(DomainError):
-            sample_bridge(p, np.asarray(times, dtype=float), 0)
+        # The gap is the only check on a bridge's missing times.
+        with pytest.raises(NonMonotonicTimeError):
+            gap((0, 0), (1, 1), 10.0, times)
+
+    @pytest.mark.parametrize("sigma", [-1.0, math.nan, math.inf])
+    def test_bad_sigma_rejected(self, sigma):
+        gapped = gap((0, 0), (1, 1), 10.0, [5.0])
+        with pytest.raises(DomainError, match="sigma_m must be >= 0"):
+            fill_gap(gapped, "bridge", sigma, 0)
+        with pytest.raises(DomainError, match="sigma_m must be >= 0"):
+            estimate_gap_rog(gapped, sigma, 10, 0)
 
     def test_midpoint_marginal_statistics(self):
         # 10^4 joint draws at t = T/2 with sigma_m = 1, T = 100: each
         # coordinate should have variance 25 (within 5%).
-        p = BridgeParams((0, 0), (30, 15), 100.0, 1.0)
-        pts = sample_bridge_many(p, np.array([50.0]), 10_000, 123)[:, 0, :]
-        mean, var = bridge_marginal(p, 50.0)
+        pts = draw((0, 0), (30, 15), 100.0, 1.0, np.array([50.0]), 10_000, 123)[:, 0, :]
+        mean, var = bridge_marginal((0, 0), (30, 15), 100.0, 1.0, 50.0)
         assert pts.mean(axis=0) == pytest.approx(mean, abs=4 * 5 / 100)
         assert pts[:, 0].var() == pytest.approx(var, rel=0.05)
         assert pts[:, 1].var() == pytest.approx(var, rel=0.05)
@@ -91,12 +96,11 @@ class TestSampleBridge:
         # For equal spacing, consecutive increments are distributed like the
         # bridge itself evaluated at the spacing (two-sample check).
         duration, sigma, spacing = 100.0, 1.3, 10.0
-        p = BridgeParams((0, 0), (20, -8), duration, sigma)
         times = np.arange(spacing, duration, spacing)
-        paths = sample_bridge_many(p, times, 10_000, 99)
+        paths = draw((0, 0), (20, -8), duration, sigma, times, 10_000, 99)
         increments = paths[:, 1, 0] - paths[:, 0, 0]
-        q = BridgeParams((0, 0), (20, -8), duration, sigma)
-        direct = sample_bridge_many(q, np.array([spacing]), 10_000, 1234)[:, 0, 0]
+        direct = draw((0, 0), (20, -8), duration, sigma, np.array([spacing]),
+                      10_000, 1234)[:, 0, 0]
         # recentre both on their analytic means before comparing
         increments -= spacing / duration * 20
         direct -= spacing / duration * 20
@@ -162,13 +166,11 @@ class TestSampledLengths:
         assert abs(lengths.mean() - closed) < 3 * se
 
     def test_lengths_match_sampled_paths(self):
-        # The sampled lengths must measure exactly what a sampled path
-        # measures, from the same seed.
+        # The oracle's lengths measure what the package's paths measure,
+        # from the same seed.
         sigma, duration, n = 1.5, 10.0, 10
-        p = BridgeParams((0, 0), (3, 4), duration, sigma)
         times = duration * np.arange(1, n) / n
-        rng = make_rng(5)
-        paths = sample_bridge_many(p, times, 50, rng)
+        paths = draw((0, 0), (3, 4), duration, sigma, times, 50, 5)
         manual = []
         for path in paths:
             pts = np.vstack([[0, 0], path, [3, 4]])

@@ -198,6 +198,19 @@ class TestExperiment:
                      "--out", str(tmp_path / "out")]) == 3
         assert "sigma must be a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, field", [
+        ({"kind": "rog", "replicates": 1,
+          "models": [{"model": "fixed-velocity", "v": 10 ** 400}]}, "v"),
+        ({"kind": "rog", "replicates": 10 ** 400}, "replicates"),
+    ], ids=["model-parameter", "count"])
+    def test_integer_beyond_float_range_is_data_error(self, tmp_path, capsys,
+                                                      config, field):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["experiment", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 3
+        assert f"{field} is too large for a float" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("argv", [
     ["experiment", "--kind", "rog", "--replicates", "1"],

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bridgefill.bridge import BridgeParams, sample_bridge
+from bridgefill import _kernels
 from bridgefill.errors import DomainError, TooFewPointsError
 from bridgefill.estimator import SIGMA_FLOOR, estimate_sigma, estimate_sigmas
 from bridgefill.seeding import make_rng
@@ -44,9 +44,8 @@ def large_step_walk():
 
 def bridge_trajectory(sigma, duration, end, seed, n_interior):
     times = duration * np.arange(1, n_interior + 1) / (n_interior + 1)
-    pts = sample_bridge(
-        BridgeParams((0, 0), end, duration, sigma), times, seed
-    )
+    noise = make_rng(seed).standard_normal((1, n_interior, 2))
+    [pts] = _kernels.bridge_paths((0, 0), end, duration, sigma, times, noise)
     return Trajectory(np.concatenate([[0.0], times, [duration]]),
                       np.concatenate([[(0.0, 0.0)], pts, [end]]))
 

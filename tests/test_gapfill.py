@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from bridgefill.bridge import BridgeParams, sample_bridge
+from bridgefill import _kernels
 from bridgefill.errors import DomainError
 from bridgefill.gapfill import estimate_gap_rog, fill_gap
 from bridgefill.metrics import radius_of_gyration
+from bridgefill.seeding import make_rng
 from bridgefill.trajectory import Trajectory, excise_gap
 
 from .oracles import bridge_paths_sequential
@@ -110,11 +111,11 @@ class TestFillGap:
     def test_bridge_is_one_sample_between_the_same_anchors(self, anchors):
         gapped = _gapped(25)
         last = gapped.after if anchors == "loop" else gapped.before
-        start = last.coords[-1]
-        params = BridgeParams(start, gapped.after.coords[0], gapped.duration, 1.3)
         shifted = gapped.missing_times - gapped.before.times[-1]
-        assert np.array_equal(fill_gap(gapped, "bridge", 1.3, 8, anchors),
-                              sample_bridge(params, shifted, 8))
+        noise = make_rng(8).standard_normal((1, 25, 2))
+        [expected] = _kernels.bridge_paths(last.coords[-1], gapped.after.coords[0],
+                                           gapped.duration, 1.3, shifted, noise)
+        assert np.array_equal(fill_gap(gapped, "bridge", 1.3, 8, anchors), expected)
 
     @pytest.mark.parametrize("anchors", ["gap", "loop"])
     def test_zero_sigma_bridge_is_linear(self, anchors):
