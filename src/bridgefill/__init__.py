@@ -1,8 +1,10 @@
 """Fill gaps in 2-D location trajectories with Brownian bridges.
 
-The package estimates a diffusion coefficient from the observed points by
-maximum likelihood, reconstructs the missing window with an
-exact-endpoint bridge or a straight line (``fill_gap``), and reports the
+A gap (``GappedTrajectory``) is the observed trajectory plus the index at
+which its one missing window sits. The package estimates a diffusion
+coefficient from the observed points by maximum likelihood, reconstructs
+the missing window with an exact-endpoint bridge or a straight line from
+the gap's left anchor to its right one (``fill_gap``), and reports the
 gap's expected path length (closed form, ``expected_path_length``) and
 radius of gyration (Monte Carlo, ``estimate_gap_rog``). Every bridge, in
 the CLI and in the experiments, is drawn by one array kernel,

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-# Recorded in experiment summaries; numpy is the only implementation.
+# Recorded in the benchmark's environment block (bench/run.py); numpy is the
+# only implementation.
 BACKEND = "numpy"
 
 

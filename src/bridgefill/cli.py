@@ -82,28 +82,29 @@ def _model_spec(args, parser: argparse.ArgumentParser):
 
 
 def _detect_gap(traj: Trajectory) -> GappedTrajectory:
-    """Auto-detect one run of missing integer timestamps between min and max."""
+    """Auto-detect one run of missing integer timestamps: the one place
+    where consecutive timestamps are more than 1 apart."""
     times = traj.times
     if not np.array_equal(times, np.round(times)):
         raise BridgefillError(
             "gap auto-detection needs integer timestamps; "
             "pass --gap-start/--gap-count instead"
         )
-    full = np.arange(int(times[0]), int(times[-1]) + 1)
-    present = np.isin(full, times.astype(int))
-    missing = full[~present]
-    if len(missing) == 0:
+    jumps = np.flatnonzero(np.diff(times) > 1)
+    if len(jumps) == 0:
         raise BridgefillError("no missing timestamps between min and max")
-    if missing[-1] - missing[0] != len(missing) - 1:
+    if len(jumps) > 1:
         raise BridgefillError(
             "found several gaps; this tool handles one contiguous gap"
         )
-    split = int(np.searchsorted(times, missing[0]))
-    return GappedTrajectory(
-        before=traj.segment(0, split),
-        after=traj.segment(split, len(traj)),
-        missing_times=missing.astype(float),
-    )
+    split = int(jumps[0]) + 1
+    try:
+        missing = np.arange(int(times[split - 1]) + 1, int(times[split]))
+    except (ValueError, MemoryError) as exc:
+        raise BridgefillError(
+            f"cannot list the missing timestamps between {times[split - 1]!r} "
+            f"and {times[split]!r}: {exc}") from None
+    return GappedTrajectory(traj, split, missing.astype(float))
 
 
 def _gapped_from_args(traj: Trajectory, args) -> GappedTrajectory:
@@ -124,7 +125,7 @@ def _cmd_simulate(args, parser) -> int:
 def _cmd_gap(args, parser) -> int:
     traj = read_trajectory_csv(args.infile)
     gapped = excise_gap(traj, args.gap_start, args.gap_count)
-    write_trajectory_csv(args.out, gapped.observed())
+    write_trajectory_csv(args.out, gapped.observed)
     return 0
 
 
@@ -180,7 +181,7 @@ def _cmd_fill(args, parser) -> int:
             sigma = args.sigma
             summary["sigma_source"] = "override"
         else:
-            est = estimate_sigma(gapped.observed())
+            est = estimate_sigma(gapped.observed)
             sigma = est.sigma_m
             summary["sigma_source"] = "estimated"
             summary["sigma_clamped"] = est.clamped
@@ -209,7 +210,10 @@ def _cmd_experiment(args, parser) -> int:
         parser.error("experiment needs --kind or --config")
     data = {}
     if args.config is not None:
-        data = json.loads(Path(args.config).read_text())
+        try:
+            data = json.loads(Path(args.config).read_text())
+        except ValueError as exc:  # also undecodable bytes and huge integers
+            raise InvalidSpecError(f"{args.config}: not a JSON config: {exc}") from None
         if not isinstance(data, dict):
             raise InvalidSpecError(
                 f"{args.config}: a config must be a JSON object, "
@@ -304,7 +308,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args, parser)
-    except (BridgefillError, OSError, json.JSONDecodeError) as exc:
+    except (BridgefillError, OSError) as exc:
         print(f"bridgefill: error: {exc}", file=sys.stderr)
         return DATA_ERROR
 

@@ -12,16 +12,12 @@ Two experiment kinds are built in:
 * ``rog``: 1000-point paths, points 1..499 removed (the first point stays
   as the left anchor). Each replicate draws a single bridge realisation,
   splices it in, and compares whole-path radius of gyration before and
-  after; the linear fill is scored on the same generated path. Models:
-  fixed-velocity v=1, angular-walk sigma=0.1, run-tumble l=1.
-
-``fill_anchors`` anchors the fills as ``gapfill.fill_gap``'s ``anchors``
-does: ``gap`` pins the replacement segment across the gap's own endpoints,
-``loop`` pins it from the final observed point back to the gap's right
-anchor, so a leading gap is replaced by an excursion that closes the
-observed remainder into a loop. The rog experiment defaults to ``loop``
-(its reference summary statistics correspond to that anchoring); the
-path-length experiment fills nothing and accepts only ``gap``.
+  after; the linear fill is scored on the same generated path. Both fills
+  start at the final observed point, not at the left anchor, and end at
+  the gap's right anchor over the gap's own time geometry, so the leading
+  gap is replaced by an excursion that closes the observed remainder into
+  a loop; the reference summary statistics correspond to this anchoring.
+  Models: fixed-velocity v=1, angular-walk sigma=0.1, run-tumble l=1.
 
 Each (model, replicates) cell runs as arrays, one row per replicate, in
 blocks that bound memory: one generator call builds the block's paths,
@@ -52,12 +48,11 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from ._kernels import BACKEND
 from ._version import __version__
 from .bridge import expected_path_length
 from .errors import InvalidSpecError
 from .estimator import estimate_sigmas
-from .gapfill import ANCHOR_MODES, METHODS
+from .gapfill import METHODS
 from .generators import (
     AngularWalk,
     DiscreteBrownian,
@@ -103,7 +98,6 @@ class ExperimentConfig:
     gap_count: int
     replicates: int
     master_seed: int
-    fill_anchors: str = "gap"
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -121,16 +115,6 @@ class ExperimentConfig:
             raise InvalidSpecError(
                 "gap must keep both anchors: need 1 <= gap_start and "
                 "gap_start + gap_count <= steps"
-            )
-        if self.fill_anchors not in ANCHOR_MODES:
-            raise InvalidSpecError(
-                f"fill_anchors must be one of {ANCHOR_MODES}, "
-                f"got {self.fill_anchors!r}"
-            )
-        if self.kind == PATH_LENGTH_KIND and self.fill_anchors != "gap":
-            raise InvalidSpecError(
-                "path-length scores no fill, so fill_anchors must be 'gap', "
-                f"got {self.fill_anchors!r}"
             )
 
 
@@ -157,7 +141,6 @@ def default_config(
         return ExperimentConfig(
             kind=kind, models=models, steps=999, gap_start=1, gap_count=499,
             replicates=replicates, master_seed=master_seed,
-            fill_anchors="loop",
         )
     raise InvalidSpecError(f"kind must be one of {KINDS}, got {kind!r}")
 
@@ -260,7 +243,7 @@ def _run_block(config: ExperimentConfig, cell: int, spec: ModelSpec,
     for i, rep in enumerate(reps):
         rng = make_rng(child_seed(config.master_seed, cell, rep, 1))
         rng.standard_normal(out=noise[i])
-    start = coords[:, -1 if config.fill_anchors == "loop" else left]
+    start = coords[:, -1]
     end = coords[:, right]
     filled = np.concatenate([coords, coords])
     filled[:, left + 1:right] = _kernels.bridge_paths(
@@ -382,7 +365,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         "kind": config.kind,
         "config": config_to_dict(config),
         "version": __version__,
-        "backend": BACKEND,
         "cells": cells,
     }
     return ExperimentReport(

@@ -1,8 +1,9 @@
 """End-to-end gap interpolation: fill the missing window by bridge or
-straight line with ``fill_gap``, and estimate the gap's path length (closed
-form) and radius of gyration (Monte Carlo) for a given diffusion
-coefficient. Fills are ``(n_missing, 2)`` position arrays at the gap's
-missing times, ready for ``splice_fill``."""
+straight line from the gap's left anchor to its right one with
+``fill_gap``, and estimate the gap's path length (closed form) and radius
+of gyration (Monte Carlo) for a given diffusion coefficient. Fills are
+``(n_missing, 2)`` position arrays at the gap's missing times, ready for
+``splice_fill``."""
 
 from __future__ import annotations
 
@@ -19,24 +20,23 @@ from .trajectory import GappedTrajectory
 
 DEFAULT_ROG_REALISATIONS = 1000
 METHODS = ("bridge", "linear")
-ANCHOR_MODES = ("gap", "loop")
 
 
 def _bridges(
     gapped: GappedTrajectory,
-    start: np.ndarray,
     sigma_m: float,
     n: int,
     rng: int | np.random.Generator,
 ) -> np.ndarray:
-    """``n`` bridges from ``start`` to the right anchor over the gap's time
-    geometry, at ``gapped.missing_times``; shape (n, n_missing, 2)."""
+    """``n`` bridges between the gap's anchors at ``gapped.missing_times``;
+    shape (n, n_missing, 2)."""
     if not (math.isfinite(sigma_m) and sigma_m >= 0.0):
         raise DomainError(f"sigma_m must be >= 0, got {sigma_m!r}")
-    shifted = gapped.missing_times - gapped.before.times[-1]
+    observed, left = gapped.observed, gapped.split - 1
+    shifted = gapped.missing_times - observed.times[left]
     noise = make_rng(rng).standard_normal((n, gapped.n_missing, 2))
-    return _kernels.bridge_paths(start, gapped.after.coords[0], gapped.duration,
-                                 sigma_m, shifted, noise)
+    return _kernels.bridge_paths(observed.coords[left], observed.coords[left + 1],
+                                 gapped.duration, sigma_m, shifted, noise)
 
 
 def fill_gap(
@@ -44,24 +44,20 @@ def fill_gap(
     method: str,
     sigma_m: float,
     rng: int | np.random.Generator,
-    anchors: str = "gap",
 ) -> np.ndarray:
     """Fill positions at ``gapped.missing_times``, shape (n_missing, 2).
 
-    The fill runs from a start point to the right anchor over the gap's own
-    time geometry. ``anchors="gap"`` starts at the left anchor;
-    ``anchors="loop"`` starts at the final observed point, so a leading gap
-    closes the observed remainder into a loop. ``method="linear"`` moves at
-    constant velocity and ignores ``sigma_m`` and ``rng``;
-    ``method="bridge"`` draws one Brownian-bridge realisation.
+    The fill runs from the gap's left anchor to its right anchor.
+    ``method="linear"`` moves at constant velocity and ignores ``sigma_m``
+    and ``rng``; ``method="bridge"`` draws one Brownian-bridge realisation.
     """
-    if method not in METHODS or anchors not in ANCHOR_MODES:
-        raise DomainError(f"unknown fill {method!r} with anchors {anchors!r}")
-    start = (gapped.after if anchors == "loop" else gapped.before).coords[-1]
+    if method not in METHODS:
+        raise DomainError(f"unknown fill method {method!r}")
     if method == "bridge":
-        return _bridges(gapped, start, sigma_m, 1, rng)[0]
-    shifted = gapped.missing_times - gapped.before.times[-1]
-    return start + np.outer(shifted / gapped.duration, gapped.after.coords[0] - start)
+        return _bridges(gapped, sigma_m, 1, rng)[0]
+    observed, left = gapped.observed, gapped.split - 1
+    shifted = gapped.missing_times - observed.times[left]
+    return observed.coords[left] + np.outer(shifted / gapped.duration, gapped.chord)
 
 
 def estimate_gap_length(gapped: GappedTrajectory, sigma_m: float) -> float:
@@ -108,10 +104,9 @@ def estimate_gap_rog(
     """
     if realisations < 1:
         raise DomainError(f"realisations must be >= 1, got {realisations}")
-    fills = _bridges(gapped, gapped.before.coords[-1], sigma_m, realisations, rng)
-    observed = np.concatenate([gapped.before.coords, gapped.after.coords])
-    centre = observed.mean(axis=0)
-    observed -= centre
+    fills = _bridges(gapped, sigma_m, realisations, rng)
+    centre = gapped.observed.coords.mean(axis=0)
+    observed = gapped.observed.coords - centre
     fills -= centre
     n_total = len(observed) + gapped.n_missing
     sum_sq = (observed ** 2).sum() + (fills ** 2).sum(axis=(1, 2))

@@ -2,10 +2,12 @@
 and splicing, CSV IO.
 
 A trajectory is an ordered sequence of (t, x, y) samples with strictly
-increasing, finite timestamps. A gapped trajectory is the pair of observed
-sub-trajectories around one missing time window. All values are immutable
-after construction (backing arrays are marked read-only), so they can be
-shared freely across threads.
+increasing, finite timestamps. A gapped trajectory is the observed
+trajectory plus the index ``split`` at which one missing time window sits:
+the window lies between the observed points ``split - 1`` and ``split``,
+and a fill is inserted there. All values are immutable after construction
+(backing arrays are marked read-only), so they can be shared freely across
+threads.
 
 CSV schema: header ``t,x,y`` for plain trajectories, ``t,x,y,source`` for
 filled ones (``source`` in {observed, bridge, linear}). Floats are written
@@ -19,7 +21,7 @@ rows with ``np.loadtxt``, which also sets the accepted number syntax.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -83,33 +85,30 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.times)
 
-    def segment(self, start: int, stop: int) -> "Trajectory":
-        """Sub-trajectory over point indices [start, stop)."""
-        sources = self.sources[start:stop] if self.sources is not None else None
-        return Trajectory(self.times[start:stop], self.coords[start:stop], sources)
-
 
 @dataclass(frozen=True)
 class GappedTrajectory:
     """Observed points around one missing time window.
 
-    ``before`` ends at the gap's left anchor, ``after`` starts at its right
-    anchor, and ``missing_times`` lists the timestamps to reconstruct,
-    strictly between the anchors.
+    The gap sits between observed point ``split - 1``, its left anchor, and
+    observed point ``split``, its right anchor, so ``1 <= split <
+    len(observed)``, otherwise OutOfRangeError. ``missing_times`` lists the
+    timestamps to reconstruct, strictly between the anchors.
     """
 
-    before: Trajectory
-    after: Trajectory
-    missing_times: np.ndarray = field(default_factory=lambda: np.empty(0))
+    observed: Trajectory
+    split: int
+    missing_times: np.ndarray
 
     def __post_init__(self) -> None:
+        if not 1 <= self.split < len(self.observed):
+            raise OutOfRangeError(
+                f"split must lie in [1, {len(self.observed)}), got {self.split}"
+            )
         missing = _freeze(np.atleast_1d(self.missing_times))
         object.__setattr__(self, "missing_times", missing)
-        t_left = self.before.times[-1]
-        t_right = self.after.times[0]
-        if not t_left < t_right:
-            raise NonMonotonicTimeError("left anchor must precede right anchor")
         if len(missing) > 0:
+            t_left, t_right = self.observed.times[self.split - 1:self.split + 1]
             if not (np.diff(missing) > 0).all():
                 raise NonMonotonicTimeError("missing times must be strictly increasing")
             if not (missing[0] > t_left and missing[-1] < t_right):
@@ -120,23 +119,18 @@ class GappedTrajectory:
     @property
     def duration(self) -> float:
         """Time between the anchors."""
-        return float(self.after.times[0] - self.before.times[-1])
+        times = self.observed.times
+        return float(times[self.split] - times[self.split - 1])
 
     @property
     def chord(self) -> np.ndarray:
         """Displacement vector from left anchor to right anchor."""
-        return self.after.coords[0] - self.before.coords[-1]
+        coords = self.observed.coords
+        return coords[self.split] - coords[self.split - 1]
 
     @property
     def n_missing(self) -> int:
         return len(self.missing_times)
-
-    def observed(self) -> Trajectory:
-        """All observed points, both sides of the gap, as one trajectory."""
-        return Trajectory(
-            np.concatenate([self.before.times, self.after.times]),
-            np.concatenate([self.before.coords, self.after.coords]),
-        )
 
 
 def excise_gap(traj: Trajectory, from_index: int, count: int) -> GappedTrajectory:
@@ -144,6 +138,7 @@ def excise_gap(traj: Trajectory, from_index: int, count: int) -> GappedTrajector
 
     Both anchors must survive: ``1 <= from_index`` and
     ``from_index + count <= len(traj) - 1``, otherwise OutOfRangeError.
+    The observed points carry no source labels.
     """
     n = len(traj)
     if count < 0:
@@ -153,11 +148,9 @@ def excise_gap(traj: Trajectory, from_index: int, count: int) -> GappedTrajector
             f"removing [{from_index}, {from_index + count}) of {n} points "
             "would delete an anchor"
         )
-    return GappedTrajectory(
-        before=traj.segment(0, from_index),
-        after=traj.segment(from_index + count, n),
-        missing_times=traj.times[from_index:from_index + count],
-    )
+    gap = slice(from_index, from_index + count)
+    observed = Trajectory(np.delete(traj.times, gap), np.delete(traj.coords, gap, axis=0))
+    return GappedTrajectory(observed, from_index, traj.times[gap])
 
 
 def splice_fill(
@@ -165,7 +158,8 @@ def splice_fill(
     coords: np.ndarray,
     source: str = "fill",
 ) -> Trajectory:
-    """Merge observed points and fill positions into one labelled trajectory.
+    """Insert fill positions into the observed points at ``gapped.split``,
+    as one labelled trajectory.
 
     ``coords`` holds one (x, y) row per missing time, shape
     ``(gapped.n_missing, 2)``, otherwise TimeMismatchError; the fill takes
@@ -178,15 +172,14 @@ def splice_fill(
             f"fill has shape {coords.shape}, the gap needs "
             f"({gapped.n_missing}, 2)"
         )
-    times = np.concatenate(
-        [gapped.before.times, gapped.missing_times, gapped.after.times])
-    merged = np.concatenate([gapped.before.coords, coords, gapped.after.coords])
+    observed, split = gapped.observed, gapped.split
     sources = (
-        (SOURCE_OBSERVED,) * len(gapped.before)
+        (SOURCE_OBSERVED,) * split
         + (source,) * gapped.n_missing
-        + (SOURCE_OBSERVED,) * len(gapped.after)
+        + (SOURCE_OBSERVED,) * (len(observed) - split)
     )
-    return Trajectory(times, merged, sources)
+    return Trajectory(np.insert(observed.times, split, gapped.missing_times),
+                      np.insert(observed.coords, split, coords, axis=0), sources)
 
 
 # Rows formatted per ``writelines`` call: enough to amortise the call, few

@@ -29,7 +29,12 @@ from bridgefill.gapfill import METHODS, estimate_gap_length, fill_gap
 from bridgefill.generators import generate, spec_to_dict
 from bridgefill.metrics import path_length, radius_of_gyration
 from bridgefill.seeding import child_seed, make_rng
-from bridgefill.trajectory import Trajectory, excise_gap, splice_fill
+from bridgefill.trajectory import (
+    GappedTrajectory,
+    Trajectory,
+    excise_gap,
+    splice_fill,
+)
 
 
 class DegenerateDataError(ValueError):
@@ -308,6 +313,17 @@ def _ratio(estimated: float, true: float) -> float:
     return 1.0 if estimated == 0.0 else math.inf
 
 
+def loop_gap(gapped):
+    """The gap the rog experiment fills in place of ``gapped``: from the
+    final observed point, put at the left anchor's time, to the right
+    anchor, with the same missing times."""
+    observed, split = gapped.observed, gapped.split
+    return GappedTrajectory(
+        Trajectory(observed.times[[split - 1, split]],
+                   observed.coords[[-1, split]]),
+        1, gapped.missing_times)
+
+
 def experiment_records(config) -> list[dict]:
     """The records of ``run_experiment(config)``, built one replicate at a
     time: generate, excise, estimate, then score the closed-form length or
@@ -322,10 +338,11 @@ def experiment_records(config) -> list[dict]:
             traj = generate(spec, config.steps, seed)
             gapped = excise_gap(traj, config.gap_start, config.gap_count)
             base = {"model": model, "params": params, "replicate": rep,
-                    "seed": seed, "sigma_hat": estimate_sigma(gapped.observed()).sigma_m}
+                    "seed": seed, "sigma_hat": estimate_sigma(gapped.observed).sigma_m}
+            left, right = config.gap_start - 1, config.gap_start + config.gap_count
             if config.kind == "path-length":
-                left, right = config.gap_start - 1, config.gap_start + config.gap_count
-                true_length = path_length(traj.segment(left, right + 1))
+                true_length = path_length(Trajectory(traj.times[left:right + 1],
+                                                     traj.coords[left:right + 1]))
                 estimates = (
                     ("bridge", estimate_gap_length(gapped, base["sigma_hat"])),
                     ("linear", float(np.hypot(*gapped.chord))),
@@ -336,11 +353,11 @@ def experiment_records(config) -> list[dict]:
                                     "estimated_length": estimated,
                                     "length_ratio": _ratio(estimated, true_length)})
                 continue
+            loop = loop_gap(gapped)
             fill_seed = child_seed(config.master_seed, cell, rep, 1)
             rog_before = radius_of_gyration(traj)
             for method in METHODS:
-                fill = fill_gap(gapped, method, base["sigma_hat"], fill_seed,
-                                config.fill_anchors)
+                fill = fill_gap(loop, method, base["sigma_hat"], fill_seed)
                 rog_after = radius_of_gyration(splice_fill(gapped, fill, method))
                 records.append({**base, "method": method, "rog_before": rog_before,
                                 "rog_after": rog_after,

@@ -22,8 +22,7 @@ def draw(start, end, duration, sigma, times, n, seed):
 
 def gap(start, end, duration, missing):
     """A gap from ``start`` at 0 to ``end`` at ``duration``."""
-    return GappedTrajectory(Trajectory([0.0], [start]),
-                            Trajectory([duration], [end]),
+    return GappedTrajectory(Trajectory([0.0, duration], [start, end]), 1,
                             np.asarray(missing, dtype=float))
 
 

@@ -123,6 +123,35 @@ class TestFill:
         assert "bridgefill: error:" in capsys.readouterr().err
 
 
+class TestGapAndMetrics:
+    def test_gap_writes_input_minus_gap_rows(self, path_csv, tmp_path):
+        out = tmp_path / "gapped.csv"
+        assert main(["gap", "--in", str(path_csv), *GAP, "--out", str(out)]) == 0
+        rows = path_csv.read_bytes().splitlines(keepends=True)
+        # the header, then points 0..19 and 30.. (file lines 1..20 and 31..)
+        assert out.read_bytes() == b"".join(rows[:21] + rows[31:])
+
+    def test_auto_detected_fill_of_gap_output(self, path_csv, tmp_path, capsys):
+        gapped, auto, flagged = (tmp_path / n for n in ("g.csv", "a.csv", "f.csv"))
+        assert main(["gap", "--in", str(path_csv), *GAP, "--out", str(gapped)]) == 0
+        assert main(["fill", "--in", str(gapped), "--realisations", "5",
+                     "--seed", "4", "--out", str(auto)]) == 0
+        auto_summary = capsys.readouterr().out
+        assert _fill(path_csv, flagged, "--seed", "4") == 0
+        assert capsys.readouterr().out == auto_summary
+        assert auto.read_bytes() == flagged.read_bytes()
+
+    def test_metrics_match_numpy(self, path_csv, capsys):
+        assert main(["metrics", "--in", str(path_csv)]) == 0
+        got = json.loads(capsys.readouterr().out)
+        c = read_trajectory_csv(path_csv).coords
+        assert got["point_count"] == 61
+        assert got["path_length"] == pytest.approx(
+            np.linalg.norm(np.diff(c, axis=0), axis=1).sum(), rel=1e-12)
+        assert got["rog"] == pytest.approx(
+            np.sqrt(np.mean(np.sum((c - c.mean(axis=0)) ** 2, axis=1))), rel=1e-12)
+
+
 class TestExperiment:
     @pytest.mark.parametrize("field", [
         {"replicates": "two"},
@@ -139,6 +168,19 @@ class TestExperiment:
         assert main(["experiment", "--config", str(config),
                      "--out", str(tmp_path / "out")]) == 3
         assert "bridgefill: error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        b'{"kind": "rog", "replicates": ' + b"9" * 5000 + b"}",
+        b'{"kind": "rog", "replicates": 1',
+        b'{"kind": "\xff"}',
+    ], ids=["integer-over-4300-digits", "truncated", "not-utf-8"])
+    def test_unreadable_json_is_data_error(self, tmp_path, capsys, text):
+        config = tmp_path / "config.json"
+        config.write_bytes(text)
+        assert main(["experiment", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 3
+        assert f"bridgefill: error: {config}: not a JSON config" in (
+            capsys.readouterr().err)
 
     @pytest.mark.parametrize("flags", [[], ["--replicates", "2"], ["--seed", "3"]])
     def test_config_not_an_object_is_data_error(self, tmp_path, capsys, flags):
@@ -158,7 +200,7 @@ class TestExperiment:
         assert json.loads(capsys.readouterr().out)["record_count"] == 4
 
     @pytest.mark.parametrize("flags, echoed", [
-        (["--kind", "rog"], {"kind": "rog", "fill_anchors": "loop"}),
+        (["--kind", "rog"], {"kind": "rog"}),
         (["--replicates", "2"], {"replicates": 2}),
         (["--seed", "3"], {"master_seed": 3}),
     ], ids=["kind", "replicates", "seed"])
@@ -282,16 +324,21 @@ class TestModelSchemaDrift:
 
 class TestDetectGap:
     def test_one_gap(self):
-        gapped = _detect_gap(_traj([0, 1, 2, 5, 6]))
-        assert list(gapped.before.times) == [0, 1, 2]
-        assert list(gapped.after.times) == [5, 6]
+        traj = _traj([0, 1, 2, 5, 6])
+        gapped = _detect_gap(traj)
+        assert gapped.observed is traj
+        assert gapped.split == 3
         assert list(gapped.missing_times) == [3, 4]
 
     @pytest.mark.parametrize("times", [
         [0, 1, 2.5, 4],  # non-integer times
         [0, 2, 4],  # several gaps
         [0, 1, 2, 3],  # no gap
-    ], ids=["non-integer", "several", "none"])
+        [0, 1, 3, 1e19],  # several gaps, one too wide to list
+        [0, 1, 1e300],  # one gap too wide to list
+        [0, 1, 1e18],  # one gap too large to allocate
+    ], ids=["non-integer", "several", "none", "several-wide", "too-wide",
+            "too-large"])
     def test_rejected(self, times):
         with pytest.raises(BridgefillError):
             _detect_gap(_traj(times))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bridgefill import experiments
-from bridgefill.errors import InvalidSpecError, TooFewPointsError
+from bridgefill.errors import TooFewPointsError
 from bridgefill.experiments import (
     _quartiles,
     _summarise_cell,
@@ -44,33 +44,33 @@ def test_path_length_records_are_byte_identical_across_runs(tmp_path):
 @pytest.mark.parametrize("config", [
     default_config("path-length", replicates=3, master_seed=5),
     default_config("rog", replicates=3, master_seed=5),
-    dataclasses.replace(default_config("rog"), fill_anchors="gap"),
-], ids=["path-length", "rog", "rog-gap"])
+], ids=["path-length", "rog"])
 def test_config_round_trip(config):
     assert config_from_dict(config_to_dict(config)) == config
 
 
 def _linear_rog_after(config, cell, rep):
     # Regenerate the replicate's path and replace its gap by points on the
-    # straight line from the anchoring's start point to the right anchor.
+    # straight line from the final observed point to the right anchor.
     traj = generate(config.models[cell], config.steps,
                     child_seed(config.master_seed, cell, rep, 0))
     left, right = config.gap_start - 1, config.gap_start + config.gap_count
     coords = traj.coords.copy()
-    start = coords[-1] if config.fill_anchors == "loop" else coords[left]
+    start = coords[-1]
     times = traj.times
     frac = (times[left + 1:right] - times[left]) / (times[right] - times[left])
     coords[left + 1:right] = start + frac[:, None] * (coords[right] - start)
     return radius_of_gyration(Trajectory(times, coords))
 
 
-@pytest.mark.parametrize("anchors", ["loop", "gap"])
-def test_linear_fill_anchoring(anchors):
-    # "loop" runs from the final observed point to the right anchor, "gap"
-    # runs along the anchor chord; both keep the gap's own time geometry.
+@pytest.mark.parametrize("gap_start, gap_count", [(1, 49), (40, 30)],
+                         ids=["loop", "middle"])
+def test_linear_fill_anchoring(gap_start, gap_count):
+    # The fill runs from the final observed point to the right anchor over
+    # the gap's own time geometry; a leading gap closes a loop.
     config = dataclasses.replace(
         default_config("rog", replicates=2, master_seed=3),
-        steps=99, gap_start=1, gap_count=49, fill_anchors=anchors,
+        steps=99, gap_start=gap_start, gap_count=gap_count,
     )
     records = [r for r in run_experiment(config).records if r["method"] == "linear"]
     assert len(records) == 2 * len(config.models)
@@ -114,17 +114,12 @@ GOLDEN = {
     "path-length": (
         default_config("path-length", replicates=3),
         "1c816e48c5f1f0f6350c17e86601d557b72f150e20fe65a4357aeeec5520505e",
-        "ec57b48444963e1804bdd738010c6af773fdbb325e6d1c6114bee768073d1033",
+        "26ab9d1503c37f5a70568f6cca26a84a0b8f0fe310131950b3e98e8f4617530a",
     ),
     "rog-loop": (
         default_config("rog", replicates=3),
         "89675a3b1d2b67dfdd99e1d7b78ebeea7aa6591255a027973add875f6aaa3eb8",
-        "9abd7eb20b872f98f62fee55a2ce196d80591041326f9e260e85ecdb6da6db03",
-    ),
-    "rog-gap": (
-        dataclasses.replace(default_config("rog", replicates=3), fill_anchors="gap"),
-        "4dd63ff5726b06c4bd17fbcbf1aa96d65013b22eee2139ded58846e489e910b4",
-        "9082fba530b8b1273884d86e34a4f13390a50464218f5b35fe8f5dfafc55fbe8",
+        "1b331038ad4466e8367470fab46ff984474df710156787e13dd584be7695b733",
     ),
 }
 
@@ -163,23 +158,16 @@ def _small(kind, **fields):
 @pytest.mark.parametrize("config", [
     _small("path-length"),
     _small("rog", steps=199, gap_start=1, gap_count=99),
-    _small("rog", steps=199, gap_start=40, gap_count=100, fill_anchors="gap"),
+    _small("rog", steps=199, gap_start=40, gap_count=100),
     _small("path-length", gap_count=0),
     _small("rog", steps=30, gap_start=5, gap_count=0),
     _small("path-length", steps=4, gap_start=1, gap_count=1),
     _small("rog", steps=4, gap_start=2, gap_count=1),
-    _small("rog", steps=4, gap_start=2, gap_count=1, fill_anchors="gap"),
-], ids=["path-length", "rog-loop", "rog-gap", "path-length-no-gap",
-        "rog-no-gap", "path-length-short", "rog-short-loop", "rog-short-gap"])
+    _small("rog", steps=4, gap_start=3, gap_count=1),
+], ids=["path-length", "rog-loop", "rog-middle", "path-length-no-gap",
+        "rog-no-gap", "path-length-short", "rog-short-loop", "rog-short-end"])
 def test_records_equal_per_replicate_reference(config):
     assert list(run_experiment(config).records) == experiment_records(config)
-
-
-def test_path_length_accepts_only_gap_anchors():
-    # path-length scores the closed-form length and no fill, so an anchoring
-    # would be accepted and echoed into the summary without effect.
-    with pytest.raises(InvalidSpecError, match="fill_anchors"):
-        _small("path-length", fill_anchors="loop")
 
 
 def test_too_few_observed_points_raise():

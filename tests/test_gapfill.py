@@ -10,7 +10,7 @@ from bridgefill.metrics import radius_of_gyration
 from bridgefill.seeding import make_rng
 from bridgefill.trajectory import Trajectory, excise_gap
 
-from .oracles import bridge_paths_sequential
+from .oracles import bridge_paths_sequential, loop_gap
 
 
 def _gapped(count, offset=(100.0, -50.0)):
@@ -22,17 +22,17 @@ def _gapped(count, offset=(100.0, -50.0)):
 def _spliced_rogs(gapped, sigma, realisations, seed):
     # Redraw the estimator's noise from the same seed, build the fills with
     # the sequential oracle and splice each one in by hand.
-    left, right = gapped.before.coords[-1], gapped.after.coords[0]
-    shifted = gapped.missing_times - gapped.before.times[-1]
+    observed, split = gapped.observed, gapped.split
+    shifted = gapped.missing_times - observed.times[split - 1]
     noise = np.random.default_rng(seed).standard_normal(
         (realisations, len(shifted), 2))
-    fills = bridge_paths_sequential(left, right, gapped.duration, sigma, shifted,
-                                    noise)
-    times = np.concatenate(
-        [gapped.before.times, gapped.missing_times, gapped.after.times])
+    fills = bridge_paths_sequential(observed.coords[split - 1],
+                                    observed.coords[split], gapped.duration,
+                                    sigma, shifted, noise)
+    times = np.insert(observed.times, split, gapped.missing_times)
     return [
         radius_of_gyration(Trajectory(times, np.concatenate(
-            [gapped.before.coords, fill, gapped.after.coords])))
+            [observed.coords[:split], fill, observed.coords[split:]])))
         for fill in fills
     ]
 
@@ -60,7 +60,7 @@ class TestEstimateGapRog:
         rng = np.random.default_rng(5)
         est = estimate_gap_rog(gapped, 1.3, 4, rng)
         assert est.mean == pytest.approx(
-            radius_of_gyration(gapped.observed()), rel=1e-12)
+            radius_of_gyration(gapped.observed), rel=1e-12)
         assert est.std_error == 0.0
         # nothing is drawn for an empty gap
         assert rng.random() == np.random.default_rng(5).random()
@@ -70,7 +70,7 @@ class TestEstimateGapRog:
         rng = np.random.default_rng(5)
         est = estimate_gap_rog(gapped, 1.3, 1000, rng)
         assert est.mean == pytest.approx(
-            radius_of_gyration(gapped.observed()), rel=1e-12)
+            radius_of_gyration(gapped.observed), rel=1e-12)
         assert est.std_error <= 1e-15 * est.mean
         assert est.realisations == 1000
         assert rng.random() == np.random.default_rng(5).random()
@@ -83,8 +83,16 @@ class TestEstimateGapRog:
 
 
 def _on_line(start, end, gapped):
-    frac = (gapped.missing_times - gapped.before.times[-1]) / gapped.duration
+    left = gapped.observed.times[gapped.split - 1]
+    frac = (gapped.missing_times - left) / gapped.duration
     return start + frac[:, None] * (end - start)
+
+
+def _anchored(count, anchors):
+    """``_gapped(count)``, or for ``anchors="loop"`` the gap the rog
+    experiment fills in its place."""
+    gapped = _gapped(count)
+    return loop_gap(gapped) if anchors == "loop" else gapped
 
 
 class TestFillGap:
@@ -92,39 +100,42 @@ class TestFillGap:
     @pytest.mark.parametrize("anchors", ["gap", "loop"])
     @pytest.mark.parametrize("count", [0, 1, 25])
     def test_shape(self, method, anchors, count):
-        fill = fill_gap(_gapped(count), method, 1.3, 0, anchors)
+        fill = fill_gap(_anchored(count, anchors), method, 1.3, 0)
         assert fill.shape == (count, 2)
 
     def test_linear_gap_lies_on_anchor_chord(self):
         gapped = _gapped(25)
-        fill = fill_gap(gapped, "linear", 1.3, 0, "gap")
-        expected = _on_line(gapped.before.coords[-1], gapped.after.coords[0], gapped)
+        fill = fill_gap(gapped, "linear", 1.3, 0)
+        coords = gapped.observed.coords
+        expected = _on_line(coords[9], coords[10], gapped)
         np.testing.assert_allclose(fill, expected, rtol=0, atol=1e-12)
 
     def test_linear_loop_runs_from_last_point_to_right_anchor(self):
         gapped = _gapped(25)
-        fill = fill_gap(gapped, "linear", 1.3, 0, "loop")
-        expected = _on_line(gapped.after.coords[-1], gapped.after.coords[0], gapped)
+        fill = fill_gap(loop_gap(gapped), "linear", 1.3, 0)
+        coords = gapped.observed.coords
+        expected = _on_line(coords[-1], coords[10], gapped)
         np.testing.assert_allclose(fill, expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("anchors", ["gap", "loop"])
     def test_bridge_is_one_sample_between_the_same_anchors(self, anchors):
         gapped = _gapped(25)
-        last = gapped.after if anchors == "loop" else gapped.before
-        shifted = gapped.missing_times - gapped.before.times[-1]
+        coords = gapped.observed.coords
+        start = coords[-1] if anchors == "loop" else coords[9]
+        shifted = gapped.missing_times - gapped.observed.times[9]
         noise = make_rng(8).standard_normal((1, 25, 2))
-        [expected] = _kernels.bridge_paths(last.coords[-1], gapped.after.coords[0],
-                                           gapped.duration, 1.3, shifted, noise)
-        assert np.array_equal(fill_gap(gapped, "bridge", 1.3, 8, anchors), expected)
+        [expected] = _kernels.bridge_paths(start, coords[10], gapped.duration, 1.3,
+                                           shifted, noise)
+        assert np.array_equal(
+            fill_gap(_anchored(25, anchors), "bridge", 1.3, 8), expected)
 
     @pytest.mark.parametrize("anchors", ["gap", "loop"])
     def test_zero_sigma_bridge_is_linear(self, anchors):
-        gapped = _gapped(25)
-        np.testing.assert_allclose(fill_gap(gapped, "bridge", 0.0, 3, anchors),
-                                   fill_gap(gapped, "linear", 0.0, 3, anchors),
+        gapped = _anchored(25, anchors)
+        np.testing.assert_allclose(fill_gap(gapped, "bridge", 0.0, 3),
+                                   fill_gap(gapped, "linear", 0.0, 3),
                                    rtol=0, atol=1e-9)
 
-    @pytest.mark.parametrize("method,anchors", [("spline", "gap"), ("linear", "edge")])
-    def test_unknown_method_or_anchors_rejected(self, method, anchors):
-        with pytest.raises(DomainError):
-            fill_gap(_gapped(5), method, 1.3, 0, anchors)
+    def test_unknown_method_rejected(self):
+        with pytest.raises(DomainError, match="unknown fill method 'spline'"):
+            fill_gap(_gapped(5), "spline", 1.3, 0)

@@ -1,8 +1,23 @@
 import ast
 import importlib
+import importlib.util
+import inspect
 from pathlib import Path
 
 import bridgefill
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _bench_modules() -> dict:
+    """The modules bench/run.py imports, by the names it gives them."""
+    run = BENCH / "run.py"
+    [modules] = [node.value for node in ast.parse(run.read_text()).body
+                 if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets] == ["MODULES"]]
+    return {name: bridgefill if name == "bridgefill" else
+            importlib.import_module(f"bridgefill.{name}")
+            for name in ast.literal_eval(modules)}
 
 
 def test_every_exported_name_resolves():
@@ -15,13 +30,7 @@ def test_benchmark_import_surface_resolves():
     # bench/run.py imports these modules and the bench workloads call these
     # names; a deletion that drops one breaks the benchmark, whose own tests
     # do not run with this suite.
-    run = Path(__file__).resolve().parents[1] / "bench" / "run.py"
-    [modules] = [node.value for node in ast.parse(run.read_text()).body
-                 if isinstance(node, ast.Assign)
-                 and [t.id for t in node.targets] == ["MODULES"]]
-    for name in ast.literal_eval(modules):
-        if name != "bridgefill":
-            importlib.import_module(f"bridgefill.{name}")
+    _bench_modules()
     surface = {
         "bridgefill": ("BACKEND", "generate", "spec_from_dict",
                        "write_trajectory_csv"),
@@ -32,3 +41,20 @@ def test_benchmark_import_surface_resolves():
                for name in names
                if not hasattr(importlib.import_module(module), name)]
     assert missing == []
+
+
+def test_tracer_class_patch_points_are_plain_functions():
+    # The traced benchmark run swaps a class attribute for a function
+    # wrapper, which only stands in for a plain method: a property or
+    # dataclass field in its place would break or skip the traced op.
+    spec = importlib.util.spec_from_file_location("bench_tracing",
+                                                  BENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    points = tracing.patch_points(_bench_modules())
+    owned = [(owner, attr) for owner, attr, *_ in points
+             if isinstance(owner, type) and attr in owner.__dict__]
+    assert owned
+    bad = [f"{owner.__name__}.{attr}" for owner, attr in owned
+           if not inspect.isfunction(owner.__dict__[attr])]
+    assert bad == []

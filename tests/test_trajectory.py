@@ -82,28 +82,28 @@ class TestExciseGap:
     def test_middle_hundred_of_two_hundred(self):
         traj = unit_path(200)
         gapped = excise_gap(traj, 50, 100)
-        assert len(gapped.before) == 50
-        assert len(gapped.after) == 50
+        assert len(gapped.observed) == 100
+        assert gapped.split == 50
         assert list(gapped.missing_times) == [float(t) for t in range(50, 150)]
-        assert gapped.before.times[-1] == 49.0
-        assert gapped.after.times[0] == 150.0
+        assert gapped.observed.times[49] == 49.0
+        assert gapped.observed.times[50] == 150.0
         assert gapped.duration == 101.0
+        assert gapped.chord.tolist() == [202.0, -101.0]
 
     def test_zero_count_is_noop_gap(self):
         traj = unit_path(6)
         gapped = excise_gap(traj, 3, 0)
         assert gapped.n_missing == 0
-        merged = gapped.observed()
+        merged = gapped.observed
         assert np.array_equal(merged.times, traj.times)
         assert np.array_equal(merged.coords, traj.coords)
 
     def test_first_half_keeps_left_anchor(self):
         traj = unit_path(1000)
         gapped = excise_gap(traj, 1, 499)
-        assert len(gapped.before) == 1
-        assert gapped.before.times[0] == 0.0
-        assert gapped.after.times[0] == 500.0
-        assert len(gapped.after) == 500
+        assert gapped.split == 1
+        assert gapped.observed.times[:2].tolist() == [0.0, 500.0]
+        assert len(gapped.observed) == 501
 
     @pytest.mark.parametrize("from_index,count", [(0, 1), (1, 9), (9, 1), (5, 7)])
     def test_anchor_removal_rejected(self, from_index, count):
@@ -115,6 +115,24 @@ class TestExciseGap:
             excise_gap(unit_path(10), 2, -1)
 
 
+class TestGappedTrajectory:
+    @pytest.mark.parametrize("split", [0, 2, -1])
+    def test_split_must_leave_both_anchors(self, split):
+        observed = Trajectory([0.0, 5.0], [[0.0, 0.0], [10.0, 0.0]])
+        with pytest.raises(OutOfRangeError, match="split must lie in"):
+            GappedTrajectory(observed, split, np.array([1.0]))
+
+    @pytest.mark.parametrize("missing, message", [
+        ([2.0, 2.0], "strictly increasing"),
+        ([0.0, 2.0], "strictly between the anchors"),
+        ([2.0, 5.0], "strictly between the anchors"),
+    ], ids=["repeated", "at-left-anchor", "at-right-anchor"])
+    def test_missing_times_checked_against_split_anchors(self, missing, message):
+        observed = Trajectory([-9.0, 0.0, 5.0, 9.0], np.zeros((4, 2)))
+        with pytest.raises(NonMonotonicTimeError, match=message):
+            GappedTrajectory(observed, 2, np.array(missing))
+
+
 class TestSpliceFill:
     def test_empty_fill_concatenates(self):
         gapped = excise_gap(unit_path(5), 2, 0)
@@ -124,8 +142,8 @@ class TestSpliceFill:
 
     def test_linear_fill_positions(self):
         gapped = GappedTrajectory(
-            before=Trajectory([0.0], [[0.0, 0.0]]),
-            after=Trajectory([5.0], [[10.0, 0.0]]),
+            observed=Trajectory([0.0, 5.0], [[0.0, 0.0], [10.0, 0.0]]),
+            split=1,
             missing_times=np.array([1.0, 2.0, 3.0, 4.0]),
         )
         from bridgefill.gapfill import fill_gap
