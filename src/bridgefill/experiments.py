@@ -26,11 +26,15 @@ and for ``rog`` one kernel call builds both fills of every replicate (the
 straight line being the bridge with sigma 0). Every row equals what the
 single-path functions give for that replicate, bit for bit.
 
-Every replicate still derives its own streams from the master seed via
-``child_seed(master, cell_index, replicate, purpose)`` and draws from them
-in the single-path order, so a record's ``seed`` regenerates its path with
-``generators.generate``. Purpose 0 generates the path; only ``rog`` derives
-purpose 1, for its bridge fill. Reports are byte-identical across reruns
+Every replicate still has its own streams: the key ``(cell_index,
+replicate, purpose)`` has the child seed ``SeedSequence((master,
+cell_index, replicate, purpose))``, as ``seeding.child_seed`` derives it,
+and the replicate draws from its streams in the single-path order, so a
+record's ``seed`` regenerates its path with ``generators.generate``.
+Purpose 0 generates the path; only ``rog`` derives purpose 1, for its
+bridge fill. One ``seeding.child_states`` pass per run derives the seeds
+and PCG64 states of every key of the run, and each block starts its
+Generators from its slice of them. Reports are byte-identical across reruns
 and independent of how replicates are blocked. Summaries embed the seed,
 the model grid, and the package version. Each summary cell's statistics
 cover the finite values only, and ``count`` says how many there were: a
@@ -65,7 +69,7 @@ from .generators import (
     spec_to_dict,
 )
 from .metrics import path_lengths, radii_of_gyration
-from .seeding import child_seed, make_rng
+from .seeding import child_states, rngs_from_words
 
 PATH_LENGTH_KIND = "path-length"
 ROG_KIND = "rog"
@@ -204,12 +208,14 @@ def _ratios(estimated: np.ndarray, true: np.ndarray) -> np.ndarray:
     return out
 
 
-def _run_block(config: ExperimentConfig, cell: int, spec: ModelSpec,
-               reps: range) -> dict[str, dict[str, np.ndarray]]:
-    """Replicates ``reps`` of one cell as arrays, one row per replicate:
-    per method, the record columns from ``seed`` on, ``method`` aside."""
-    seeds = [child_seed(config.master_seed, cell, rep, 0) for rep in reps]
-    coords = generate_many(spec, config.steps, seeds)
+def _run_block(config: ExperimentConfig, spec: ModelSpec, seeds: np.ndarray,
+               words: np.ndarray) -> dict[str, dict[str, np.ndarray]]:
+    """One block of a cell's replicates as arrays, one row per replicate:
+    per method, the record columns from ``seed`` on, ``method`` aside.
+
+    ``seeds`` (m, purposes) and ``words`` (m, purposes, 4) hold each
+    replicate's child seeds and PCG64 seed words by purpose."""
+    coords = generate_many(spec, config.steps, rngs_from_words(words[:, 0]))
     times = np.arange(config.steps + 1, dtype=float)
     left, right = config.gap_start - 1, config.gap_start + config.gap_count
     sigma = estimate_sigmas(
@@ -217,7 +223,7 @@ def _run_block(config: ExperimentConfig, cell: int, spec: ModelSpec,
         np.concatenate([coords[:, :left + 1], coords[:, right:]], axis=1),
     )
     duration = times[right] - times[left]
-    shared = {"seed": np.array(seeds, dtype=np.uint64), "sigma_hat": sigma}
+    shared = {"seed": seeds[:, 0], "sigma_hat": sigma}
 
     if config.kind == PATH_LENGTH_KIND:
         true_length = path_lengths(coords[:, left:right + 1])
@@ -240,8 +246,7 @@ def _run_block(config: ExperimentConfig, cell: int, spec: ModelSpec,
     # line is the bridge with sigma 0.
     m, k = len(seeds), config.gap_count
     noise = np.zeros((2 * m, k, 2))
-    for i, rep in enumerate(reps):
-        rng = make_rng(child_seed(config.master_seed, cell, rep, 1))
+    for i, rng in enumerate(rngs_from_words(words[:, 1])):
         rng.standard_normal(out=noise[i])
     start = coords[:, -1]
     end = coords[:, right]
@@ -260,13 +265,13 @@ def _run_block(config: ExperimentConfig, cell: int, spec: ModelSpec,
     }
 
 
-def _run_cell(config: ExperimentConfig, cell: int,
-              spec: ModelSpec) -> dict[str, dict[str, np.ndarray]]:
+def _run_cell(config: ExperimentConfig, spec: ModelSpec, seeds: np.ndarray,
+              words: np.ndarray) -> dict[str, dict[str, np.ndarray]]:
     """All replicates of one cell, in blocks of about ``_BLOCK_POINTS``
     path points, so memory stays bounded however many replicates run."""
     block = max(1, _BLOCK_POINTS // (config.steps + 1))
     parts = [
-        _run_block(config, cell, spec, range(lo, min(lo + block, config.replicates)))
+        _run_block(config, spec, seeds[lo:lo + block], words[lo:lo + block])
         for lo in range(0, config.replicates, block)
     ]
     return {
@@ -345,10 +350,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     The report holds one record per (model, replicate, method) plus one
     summary cell per (model, method).
     """
+    # The seeds and PCG64 words of every (cell, replicate, purpose) key of
+    # the run, in one pass: 32 B of words per key.
+    purposes = 2 if config.kind == ROG_KIND else 1
+    shape = (len(config.models), config.replicates, purposes)
+    seeds, words = child_states(config.master_seed, np.indices(shape).reshape(3, -1).T)
+    seeds, words = seeds.reshape(shape), words.reshape(*shape, -1)
     records: list[dict] = []
     cells = []
-    for cell_index, spec in enumerate(config.models):
-        columns = _run_cell(config, cell_index, spec)
+    for spec, cell_seeds, cell_words in zip(config.models, seeds, words):
+        columns = _run_cell(config, spec, cell_seeds, cell_words)
         rows = {
             method: [dict(zip(cols, row))
                      for row in zip(*(col.tolist() for col in cols.values()))]

@@ -138,7 +138,7 @@ def excise_gap(traj: Trajectory, from_index: int, count: int) -> GappedTrajector
 
     Both anchors must survive: ``1 <= from_index`` and
     ``from_index + count <= len(traj) - 1``, otherwise OutOfRangeError.
-    The observed points carry no source labels.
+    The observed points keep their source labels, if ``traj`` has them.
     """
     n = len(traj)
     if count < 0:
@@ -149,7 +149,11 @@ def excise_gap(traj: Trajectory, from_index: int, count: int) -> GappedTrajector
             "would delete an anchor"
         )
     gap = slice(from_index, from_index + count)
-    observed = Trajectory(np.delete(traj.times, gap), np.delete(traj.coords, gap, axis=0))
+    sources = traj.sources
+    if sources is not None:
+        sources = sources[:gap.start] + sources[gap.stop:]
+    observed = Trajectory(np.delete(traj.times, gap), np.delete(traj.coords, gap, axis=0),
+                          sources)
     return GappedTrajectory(observed, from_index, traj.times[gap])
 
 
@@ -163,8 +167,9 @@ def splice_fill(
 
     ``coords`` holds one (x, y) row per missing time, shape
     ``(gapped.n_missing, 2)``, otherwise TimeMismatchError; the fill takes
-    its timestamps from ``missing_times``. Observed points are labelled
-    "observed" and fill points with ``source``.
+    its timestamps from ``missing_times``. Observed points keep their own
+    labels, or are labelled "observed" if they have none, and fill points
+    are labelled with ``source``.
     """
     coords = np.asarray(coords, dtype=float)
     if coords.shape != (gapped.n_missing, 2):
@@ -173,11 +178,10 @@ def splice_fill(
             f"({gapped.n_missing}, 2)"
         )
     observed, split = gapped.observed, gapped.split
-    sources = (
-        (SOURCE_OBSERVED,) * split
-        + (source,) * gapped.n_missing
-        + (SOURCE_OBSERVED,) * (len(observed) - split)
-    )
+    labels = observed.sources
+    if labels is None:
+        labels = (SOURCE_OBSERVED,) * len(observed)
+    sources = labels[:split] + (source,) * gapped.n_missing + labels[split:]
     return Trajectory(np.insert(observed.times, split, gapped.missing_times),
                       np.insert(observed.coords, split, coords, axis=0), sources)
 
@@ -234,35 +238,39 @@ def read_trajectory_csv(path: str | Path) -> Trajectory:
     """Read a trajectory CSV written by :func:`write_trajectory_csv`.
 
     Raises CsvFormatError on a bad header or row, naming the row's file
-    line, and NonFiniteError on NaN or infinite values.
+    line, or on bytes that do not decode as text, and NonFiniteError on NaN
+    or infinite values.
     """
-    with open(path) as fh:
-        header = fh.readline()
-        if not header:
-            raise CsvFormatError(f"{path}: empty file")
-        header = [h.strip() for h in header.rstrip("\n").split(",")]
-        if header == ["t", "x", "y"]:
-            with_source = False
-        elif header == ["t", "x", "y", "source"]:
-            with_source = True
-        else:
-            raise CsvFormatError(
-                f"{path}: expected header 't,x,y' or 't,x,y,source', got {header}"
-            )
-        dtype = [("t", float), ("x", float), ("y", float)]
-        if with_source:
-            dtype.append(("source", object))
-        try:
-            with warnings.catch_warnings():
-                # a header-only file is reported below as "no data rows"
-                warnings.filterwarnings(
-                    "ignore", "loadtxt: input contained no data", UserWarning)
-                rows = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
-                                  ndmin=1)
-        except ValueError as exc:
-            where = _bad_row(path, len(header))
-            raise CsvFormatError(
-                f"{path}:{where}" if where else f"{path}: {exc}") from None
+    try:
+        with open(path) as fh:
+            header = fh.readline()
+            if not header:
+                raise CsvFormatError(f"{path}: empty file")
+            header = [h.strip() for h in header.rstrip("\n").split(",")]
+            if header == ["t", "x", "y"]:
+                with_source = False
+            elif header == ["t", "x", "y", "source"]:
+                with_source = True
+            else:
+                raise CsvFormatError(
+                    f"{path}: expected header 't,x,y' or 't,x,y,source', got {header}"
+                )
+            dtype = [("t", float), ("x", float), ("y", float)]
+            if with_source:
+                dtype.append(("source", object))
+            try:
+                with warnings.catch_warnings():
+                    # a header-only file is reported below as "no data rows"
+                    warnings.filterwarnings(
+                        "ignore", "loadtxt: input contained no data", UserWarning)
+                    rows = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
+                                      ndmin=1)
+            except ValueError as exc:
+                where = _bad_row(path, len(header))
+                raise CsvFormatError(
+                    f"{path}:{where}" if where else f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path}: not readable as text: {exc}") from None
     if len(rows) == 0:
         raise CsvFormatError(f"{path}: no data rows")
     times = rows["t"]

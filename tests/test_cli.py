@@ -123,6 +123,33 @@ class TestFill:
         assert "bridgefill: error:" in capsys.readouterr().err
 
 
+    def test_second_fill_keeps_first_fill_labels(self, path_csv, tmp_path, capsys):
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        assert _fill(path_csv, first) == 0
+        assert main(["fill", "--in", str(first), "--gap-start", "40",
+                     "--gap-count", "5", "--method", "linear",
+                     "--out", str(second)]) == 0
+        sources = read_trajectory_csv(second).sources
+        assert sources[20:30] == ("bridge",) * 10
+        assert sources[40:45] == ("linear",) * 5
+        assert sources.count("observed") == 61 - 15
+
+
+@pytest.mark.parametrize("command", ["metrics", "estimate", "gap", "fill"])
+@pytest.mark.parametrize("rows", [1, 5000], ids=["header-chunk", "late"])
+def test_csv_that_is_not_utf8_is_data_error(tmp_path, capsys, command, rows):
+    # The undecodable byte sits in the header's read chunk or far past it.
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"t,x,y\r\n" + b"".join(b"%d,0,0\r\n" % i for i in range(rows))
+                    + b"%d,\xff,0\r\n" % rows)
+    flags = [] if command in ("metrics", "estimate") else [
+        *GAP, "--out", str(tmp_path / "o.csv")]
+    assert main([command, "--in", str(bad), *flags]) == 3
+    err = capsys.readouterr().err
+    assert f"bridgefill: error: {bad}: not readable as text" in err
+    assert "Traceback" not in err
+
+
 class TestGapAndMetrics:
     def test_gap_writes_input_minus_gap_rows(self, path_csv, tmp_path):
         out = tmp_path / "gapped.csv"
@@ -130,6 +157,15 @@ class TestGapAndMetrics:
         rows = path_csv.read_bytes().splitlines(keepends=True)
         # the header, then points 0..19 and 30.. (file lines 1..20 and 31..)
         assert out.read_bytes() == b"".join(rows[:21] + rows[31:])
+
+    def test_gap_keeps_source_column(self, path_csv, tmp_path, capsys):
+        filled, gapped = tmp_path / "filled.csv", tmp_path / "gapped.csv"
+        assert _fill(path_csv, filled) == 0
+        assert main(["gap", "--in", str(filled), "--gap-start", "25",
+                     "--gap-count", "10", "--out", str(gapped)]) == 0
+        rows = filled.read_bytes().splitlines(keepends=True)
+        assert gapped.read_bytes() == b"".join(rows[:26] + rows[36:])
+        assert rows[0] == b"t,x,y,source\r\n"
 
     def test_auto_detected_fill_of_gap_output(self, path_csv, tmp_path, capsys):
         gapped, auto, flagged = (tmp_path / n for n in ("g.csv", "a.csv", "f.csv"))

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from bridgefill import experiments
 from bridgefill.errors import TooFewPointsError
@@ -150,6 +151,21 @@ def test_bridge_length_is_unbiased_on_brownian_cells():
         assert linear["mean_error"] < bridge["mean_error"], bridge["params"]
 
 
+def test_sigma_hat_follows_its_exact_law_on_brownian_cells():
+    # On Brownian data each of the N observed triples adds an independent
+    # chi-squared(2) residual, so an unclamped 2 N sigma_hat^2 / sigma^2 is
+    # chi-squared(2 N). The 100 observed points of a path-length replicate
+    # give N = 49. The threshold was fixed before the test was first run.
+    config = default_config("path-length", replicates=500)
+    config = dataclasses.replace(config, models=config.models[:4])
+    n = 49
+    sigma_hat = np.array([r["sigma_hat"] for r in run_experiment(config).records
+                          if r["method"] == "bridge"]).reshape(4, 500)
+    for spec, cell in zip(config.models, sigma_hat):
+        result = stats.kstest(2 * n * (cell / spec.sigma) ** 2, stats.chi2(2 * n).cdf)
+        assert result.pvalue > 1e-3, spec
+
+
 def _small(kind, **fields):
     config = default_config(kind, replicates=3, master_seed=9)
     return dataclasses.replace(config, **fields)
@@ -164,8 +180,11 @@ def _small(kind, **fields):
     _small("path-length", steps=4, gap_start=1, gap_count=1),
     _small("rog", steps=4, gap_start=2, gap_count=1),
     _small("rog", steps=4, gap_start=3, gap_count=1),
+    _small("path-length", master_seed=2 ** 64 + 5),
+    _small("rog", steps=199, gap_start=1, gap_count=99, master_seed=2 ** 64 + 5),
 ], ids=["path-length", "rog-loop", "rog-middle", "path-length-no-gap",
-        "rog-no-gap", "path-length-short", "rog-short-loop", "rog-short-end"])
+        "rog-no-gap", "path-length-short", "rog-short-loop", "rog-short-end",
+        "path-length-three-word-master", "rog-three-word-master"])
 def test_records_equal_per_replicate_reference(config):
     assert list(run_experiment(config).records) == experiment_records(config)
 

@@ -105,6 +105,15 @@ class TestExciseGap:
         assert gapped.observed.times[:2].tolist() == [0.0, 500.0]
         assert len(gapped.observed) == 501
 
+    def test_kept_points_keep_their_labels(self):
+        traj = unit_path(8)
+        labelled = Trajectory(traj.times, traj.coords,
+                              ("observed", "bridge", "bridge", "observed",
+                               "linear", "observed", "bridge", "observed"))
+        assert excise_gap(labelled, 2, 3).observed.sources == (
+            "observed", "bridge", "observed", "bridge", "observed")
+        assert excise_gap(traj, 2, 3).observed.sources is None
+
     @pytest.mark.parametrize("from_index,count", [(0, 1), (1, 9), (9, 1), (5, 7)])
     def test_anchor_removal_rejected(self, from_index, count):
         with pytest.raises(OutOfRangeError):
@@ -151,6 +160,16 @@ class TestSpliceFill:
         merged = splice_fill(gapped, fill_gap(gapped, "linear", 0.0, 0), "linear")
         assert merged.coords[:, 0].tolist() == [0, 2, 4, 6, 8, 10]
         assert merged.sources == ("observed",) + ("linear",) * 4 + ("observed",)
+
+    def test_observed_labels_are_kept(self):
+        traj = unit_path(6)
+        labelled = Trajectory(traj.times, traj.coords,
+                              ("observed", "bridge", "observed", "observed",
+                               "linear", "observed"))
+        gapped = excise_gap(labelled, 2, 2)
+        merged = splice_fill(gapped, traj.coords[2:4], "bridge")
+        assert merged.sources == ("observed", "bridge", "bridge", "bridge",
+                                  "linear", "observed")
 
     def test_wrong_shape_rejected(self):
         gapped = excise_gap(unit_path(5), 2, 1)
