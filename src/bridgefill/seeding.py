@@ -60,7 +60,7 @@ def _words32(n: int) -> list[int]:
     return out
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=16)
 def _consts(init: int, mult: int, n: int) -> np.ndarray:
     """The hash constants ``init * mult**i mod 2**32`` for i in 0..n, as a
     read-only ``uint32`` column: hash i xors with row i and multiplies by
@@ -151,7 +151,7 @@ def child_states(master_seed: int, keys: np.ndarray) -> tuple[np.ndarray, np.nda
     return seeds, _generate_state(_pool([low, high]), len(keys), _PCG64_WORDS)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _words_seed_sequence() -> type:
     """A seed sequence class that hands PCG64 its precomputed seed words.
 
