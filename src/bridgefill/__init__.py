@@ -3,14 +3,15 @@
 A gap (``GappedTrajectory``) is the observed trajectory plus the index at
 which its one missing window sits. The package estimates a diffusion
 coefficient from the observed points by maximum likelihood, reconstructs
-the missing window with an exact-endpoint bridge or a straight line from
-the gap's left anchor to its right one (``fill_gap``), and reports the
-gap's expected path length (closed form, ``expected_path_length``) and
-radius of gyration (Monte Carlo, ``estimate_gap_rog``). Every bridge, in
-the CLI and in the experiments, is drawn by one array kernel,
-``_kernels.bridge_paths``. A CLI (``bridgefill``) exposes simulation of
-five synthetic movement models, gap handling, and the two batch
-experiments.
+the missing window with an exact-endpoint bridge from the gap's left anchor
+to its right one (``fill_gap``; the straight line is the bridge at
+``sigma_m = 0``), and reports the gap's expected path length (closed form,
+``expected_path_length``) and radius of gyration (Monte Carlo,
+``estimate_gap_rog``). Every bridge, in the CLI and in the experiments, is
+drawn by one array kernel, ``_kernels.bridge_paths``. Path length and
+radius of gyration take a stack of paths (``path_lengths``,
+``radii_of_gyration``). A CLI (``bridgefill``) exposes simulation of five
+synthetic movement models, gap handling, and the two batch experiments.
 """
 
 from ._version import __version__
@@ -53,7 +54,7 @@ from .generators import (
     spec_from_dict,
     spec_to_dict,
 )
-from .metrics import path_length, radius_of_gyration
+from .metrics import path_lengths, radii_of_gyration
 from .seeding import child_seed, make_rng
 from .special import bessel_i_scaled, laguerre_half, rice_mean
 from .trajectory import (
@@ -81,7 +82,7 @@ __all__ = [
     "ModelSpec", "DiscreteBrownian", "FixedVelocity", "AngularWalk",
     "InternalStateWalk", "RunTumble", "generate", "spec_to_dict", "spec_from_dict",
     # metrics
-    "path_length", "radius_of_gyration",
+    "path_lengths", "radii_of_gyration",
     # gapfill
     "GapRogEstimate", "fill_gap", "estimate_gap_length", "estimate_gap_rog",
     # experiments

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: simulate | gap | fill | estimate | metrics | experiment.
-Exit codes: 0 success, 2 usage error, 3 data error.
+Exit codes: 0 success, 2 usage error, 3 data error. Text files are UTF-8.
 
 Model parameters are passed as repeatable ``--param key=value`` flags; the
 same keys appear in experiment config files (JSON). Valid keys per model:
@@ -25,6 +25,7 @@ from .errors import BridgefillError, InvalidSpecError
 from .estimator import estimate_sigma
 from .experiments import (
     KINDS,
+    METHODS,
     config_from_dict,
     run_experiment,
     write_records_csv,
@@ -37,7 +38,7 @@ from .gapfill import (
     fill_gap,
 )
 from .generators import MODEL_NAMES, generate, spec_from_dict
-from .metrics import path_length, radius_of_gyration
+from .metrics import path_lengths, radii_of_gyration
 from .seeding import child_seed
 from .trajectory import (
     GappedTrajectory,
@@ -150,8 +151,8 @@ def _cmd_estimate(args, parser) -> int:
 def _cmd_metrics(args, parser) -> int:
     traj = read_trajectory_csv(args.infile)
     _print_json({
-        "path_length": path_length(traj),
-        "rog": radius_of_gyration(traj),
+        "path_length": float(path_lengths(traj.coords)),
+        "rog": float(radii_of_gyration(traj.coords)),
         "point_count": len(traj),
     })
     return 0
@@ -166,16 +167,13 @@ def _cmd_fill(args, parser) -> int:
         parser.error(f"--sigma must be finite and >= 0, got {args.sigma!r}")
     traj = read_trajectory_csv(args.infile)
     gapped = _gapped_from_args(traj, args)
-    chord = float(math.hypot(*gapped.chord))
     summary: dict = {
         "method": args.method,
         "n_missing": gapped.n_missing,
-        "chord_length": chord,
+        "chord_length": float(math.hypot(*gapped.chord)),
     }
     if args.method == "linear":
-        # a straight line needs no diffusion coefficient
-        fill = fill_gap(gapped, "linear", 0.0, args.seed)
-        summary["expected_gap_length"] = chord
+        sigma = 0.0  # the straight line is the bridge without diffusion
     else:
         if args.sigma is not None:
             sigma = args.sigma
@@ -187,8 +185,6 @@ def _cmd_fill(args, parser) -> int:
             summary["sigma_clamped"] = est.clamped
             summary["sigma_n_skipped"] = est.n_skipped
         summary["sigma_hat"] = sigma
-        fill = fill_gap(gapped, "bridge", sigma, args.seed)
-        summary["expected_gap_length"] = estimate_gap_length(gapped, sigma)
         rog = estimate_gap_rog(
             gapped, sigma, realisations=args.realisations,
             rng=child_seed(args.seed, 1),
@@ -198,8 +194,10 @@ def _cmd_fill(args, parser) -> int:
             "std_error": None if math.isnan(rog.std_error) else rog.std_error,
             "realisations": rog.realisations,
         }
+    fill = fill_gap(gapped, sigma, args.seed)
+    summary["expected_gap_length"] = estimate_gap_length(gapped, sigma)
     filled = splice_fill(gapped, fill, args.method)
-    summary["rog_filled"] = radius_of_gyration(filled)
+    summary["rog_filled"] = float(radii_of_gyration(filled.coords))
     write_trajectory_csv(args.out, filled)
     _print_json(summary)
     return 0
@@ -211,7 +209,7 @@ def _cmd_experiment(args, parser) -> int:
     data = {}
     if args.config is not None:
         try:
-            data = json.loads(Path(args.config).read_text())
+            data = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except ValueError as exc:  # also undecodable bytes and huge integers
             raise InvalidSpecError(f"{args.config}: not a JSON config: {exc}") from None
         if not isinstance(data, dict):
@@ -270,7 +268,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         "(omit both gap flags to auto-detect missing "
                         "integer timestamps)")
     p.add_argument("--gap-count", type=int, default=None)
-    p.add_argument("--method", choices=("bridge", "linear"), default="bridge")
+    p.add_argument("--method", choices=METHODS, default="bridge",
+                   help="linear is the bridge with no diffusion")
     p.add_argument("--sigma", type=float, default=None,
                    help="skip estimation and use this diffusion coefficient "
                         "(bridge only)")

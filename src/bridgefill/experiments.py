@@ -56,7 +56,6 @@ from ._version import __version__
 from .bridge import expected_path_length
 from .errors import InvalidSpecError
 from .estimator import estimate_sigmas
-from .gapfill import METHODS
 from .generators import (
     AngularWalk,
     DiscreteBrownian,
@@ -74,6 +73,8 @@ from .seeding import child_states, rngs_from_words
 PATH_LENGTH_KIND = "path-length"
 ROG_KIND = "rog"
 KINDS = (PATH_LENGTH_KIND, ROG_KIND)
+# Fill methods in the order each replicate's records list them.
+METHODS = ("bridge", "linear")
 
 DEFAULT_MASTER_SEED = 20260301
 
@@ -110,8 +111,9 @@ class ExperimentConfig:
             )
         if not self.models:
             raise InvalidSpecError("at least one model is required")
-        if self.replicates < 1:
-            raise InvalidSpecError("replicates must be >= 1")
+        if not 1 <= self.replicates <= 2 ** 32:  # an index is a 32-bit seeding key
+            raise InvalidSpecError(
+                f"replicates must lie in [1, 2**32], got {self.replicates}")
         if self.master_seed < 0:
             raise InvalidSpecError(
                 f"master_seed must be >= 0, got {self.master_seed}")
@@ -335,7 +337,8 @@ def _summarise_cell(kind: str, spec: ModelSpec, method: str,
     }
     if kind == ROG_KIND:
         for key in ("rog_before", "rog_after"):
-            cell[f"mean_{key}"] = math.fsum(columns[key]) / len(columns[key])
+            finite = columns[key][np.isfinite(columns[key])]
+            cell[f"mean_{key}"] = math.fsum(finite) / len(finite) if len(finite) else None
         histogram: dict[str, int] = {}
         for v in values:
             key = f"{round(v, 1):.1f}"
@@ -386,7 +389,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 def write_records_csv(report: ExperimentReport, path: str | Path) -> None:
     """Per-replicate records as CSV; floats keep full precision."""
     columns = _RECORD_COLUMNS[report.config.kind]
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(columns) + "\n")
         for record in report.records:
             row = []
@@ -397,6 +400,6 @@ def write_records_csv(report: ExperimentReport, path: str | Path) -> None:
 
 
 def write_summary_json(report: ExperimentReport, path: str | Path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(report.summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

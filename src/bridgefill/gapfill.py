@@ -1,9 +1,9 @@
-"""End-to-end gap interpolation: fill the missing window by bridge or
-straight line from the gap's left anchor to its right one with
-``fill_gap``, and estimate the gap's path length (closed form) and radius
-of gyration (Monte Carlo) for a given diffusion coefficient. Fills are
-``(n_missing, 2)`` position arrays at the gap's missing times, ready for
-``splice_fill``."""
+"""End-to-end gap interpolation: fill the missing window with a Brownian
+bridge from the gap's left anchor to its right one with ``fill_gap``, and
+estimate the gap's path length (closed form) and radius of gyration (Monte
+Carlo) for a given diffusion coefficient. The straight-line fill is the
+bridge at ``sigma_m = 0``. Fills are ``(n_missing, 2)`` position arrays at
+the gap's missing times, ready for ``splice_fill``."""
 
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from .seeding import make_rng
 from .trajectory import GappedTrajectory
 
 DEFAULT_ROG_REALISATIONS = 1000
-METHODS = ("bridge", "linear")
 
 
 def _bridges(
@@ -41,23 +40,16 @@ def _bridges(
 
 def fill_gap(
     gapped: GappedTrajectory,
-    method: str,
     sigma_m: float,
     rng: int | np.random.Generator,
 ) -> np.ndarray:
-    """Fill positions at ``gapped.missing_times``, shape (n_missing, 2).
+    """One Brownian-bridge realisation from the gap's left anchor to its
+    right one at ``gapped.missing_times``, shape (n_missing, 2).
 
-    The fill runs from the gap's left anchor to its right anchor.
-    ``method="linear"`` moves at constant velocity and ignores ``sigma_m``
-    and ``rng``; ``method="bridge"`` draws one Brownian-bridge realisation.
+    At ``sigma_m = 0`` the fill is the straight line at constant velocity,
+    whatever ``rng``.
     """
-    if method not in METHODS:
-        raise DomainError(f"unknown fill method {method!r}")
-    if method == "bridge":
-        return _bridges(gapped, sigma_m, 1, rng)[0]
-    observed, left = gapped.observed, gapped.split - 1
-    shifted = gapped.missing_times - observed.times[left]
-    return observed.coords[left] + np.outer(shifted / gapped.duration, gapped.chord)
+    return _bridges(gapped, sigma_m, 1, rng)[0]
 
 
 def estimate_gap_length(gapped: GappedTrajectory, sigma_m: float) -> float:

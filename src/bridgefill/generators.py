@@ -171,6 +171,8 @@ def generate_many(
     if not isinstance(steps, (int, np.integer)) or steps < 1:
         raise InvalidSpecError(f"steps must be an integer >= 1, got {steps!r}")
     steps = int(steps)
+    if (steps + 1) * 2 * 8 > np.iinfo(np.intp).max:
+        raise InvalidSpecError(f"steps={steps} is too many for one float array")
     rngs = [make_rng(seed) for seed in seeds]
     if not rngs:
         raise InvalidSpecError("at least one seed is required")

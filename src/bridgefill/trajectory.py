@@ -203,7 +203,7 @@ def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
         bad = sorted(s for s in set(labels) if any(c in s for c in _SEPARATORS))
         if bad:
             raise CsvFormatError(f"source labels {bad} hold a CSV separator")
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("t,x,y\r\n" if labels is None else "t,x,y,source\r\n")
         for start in range(0, len(traj), _WRITE_CHUNK):
             stop = start + _WRITE_CHUNK
@@ -219,7 +219,7 @@ def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
 def _bad_row(path: str | Path, n_fields: int) -> str | None:
     """``"line: reason"`` for the first data row of ``path`` that is not
     ``n_fields`` fields with three numbers first, or None if there is none."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if lineno == 1 or line == "\n":
                 continue
@@ -242,7 +242,7 @@ def read_trajectory_csv(path: str | Path) -> Trajectory:
     or infinite values.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             header = fh.readline()
             if not header:
                 raise CsvFormatError(f"{path}: empty file")

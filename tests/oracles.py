@@ -11,8 +11,8 @@ closed-form expected length. The sigma_m likelihood is summed triple by
 triple over point objects (the package reduces whole arrays), the
 internal-state walker steps through its state machine one draw at a time
 (the package solves it in closed form), and experiment records are built
-one replicate at a time from the public single-path functions (the
-package runs each cell as arrays).
+one replicate at a time, each path generated, filled and scored on its own
+(the package runs each cell as arrays).
 """
 
 import math
@@ -25,9 +25,10 @@ from scipy import integrate
 
 from bridgefill.errors import DomainError, TooFewPointsError
 from bridgefill.estimator import VARIANCE_WEIGHT_FLOOR, estimate_sigma
-from bridgefill.gapfill import METHODS, estimate_gap_length, fill_gap
+from bridgefill.experiments import METHODS
+from bridgefill.gapfill import estimate_gap_length, fill_gap
 from bridgefill.generators import generate, spec_to_dict
-from bridgefill.metrics import path_length, radius_of_gyration
+from bridgefill.metrics import path_lengths, radii_of_gyration
 from bridgefill.seeding import child_seed, make_rng
 from bridgefill.trajectory import (
     GappedTrajectory,
@@ -341,8 +342,7 @@ def experiment_records(config) -> list[dict]:
                     "seed": seed, "sigma_hat": estimate_sigma(gapped.observed).sigma_m}
             left, right = config.gap_start - 1, config.gap_start + config.gap_count
             if config.kind == "path-length":
-                true_length = path_length(Trajectory(traj.times[left:right + 1],
-                                                     traj.coords[left:right + 1]))
+                true_length = float(path_lengths(traj.coords[left:right + 1]))
                 estimates = (
                     ("bridge", estimate_gap_length(gapped, base["sigma_hat"])),
                     ("linear", float(np.hypot(*gapped.chord))),
@@ -355,10 +355,11 @@ def experiment_records(config) -> list[dict]:
                 continue
             loop = loop_gap(gapped)
             fill_seed = child_seed(config.master_seed, cell, rep, 1)
-            rog_before = radius_of_gyration(traj)
-            for method in METHODS:
-                fill = fill_gap(loop, method, base["sigma_hat"], fill_seed)
-                rog_after = radius_of_gyration(splice_fill(gapped, fill, method))
+            rog_before = float(radii_of_gyration(traj.coords))
+            for method, sigma in zip(METHODS, (base["sigma_hat"], 0.0)):
+                fill = fill_gap(loop, sigma, fill_seed)
+                rog_after = float(radii_of_gyration(
+                    splice_fill(gapped, fill, method).coords))
                 records.append({**base, "method": method, "rog_before": rog_before,
                                 "rog_after": rog_after,
                                 "rog_error": _ratio(rog_after, rog_before)})

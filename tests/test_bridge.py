@@ -59,14 +59,14 @@ class TestSampleBridge:
 
     def test_empty_times(self):
         assert draw((0, 0), (1, 1), 10.0, 1.0, np.array([]), 3, 0).shape == (3, 0, 2)
-        assert fill_gap(gap((0, 0), (1, 1), 10.0, []), "bridge", 1.0, 0).shape == (0, 2)
+        assert fill_gap(gap((0, 0), (1, 1), 10.0, []), 1.0, 0).shape == (0, 2)
 
     def test_deterministic(self):
         gapped = gap((0, 0), (1, 1), 10.0, np.arange(1.0, 10.0))
-        assert np.array_equal(fill_gap(gapped, "bridge", 1.0, 7),
-                              fill_gap(gapped, "bridge", 1.0, 7))
-        assert not np.array_equal(fill_gap(gapped, "bridge", 1.0, 7),
-                                  fill_gap(gapped, "bridge", 1.0, 8))
+        assert np.array_equal(fill_gap(gapped, 1.0, 7),
+                              fill_gap(gapped, 1.0, 7))
+        assert not np.array_equal(fill_gap(gapped, 1.0, 7),
+                                  fill_gap(gapped, 1.0, 8))
 
     @pytest.mark.parametrize("times", [[5.0, 5.0], [9.0, 3.0], [0.0, 5.0], [5.0, 10.0]])
     def test_bad_times(self, times):
@@ -78,7 +78,7 @@ class TestSampleBridge:
     def test_bad_sigma_rejected(self, sigma):
         gapped = gap((0, 0), (1, 1), 10.0, [5.0])
         with pytest.raises(DomainError, match="sigma_m must be >= 0"):
-            fill_gap(gapped, "bridge", sigma, 0)
+            fill_gap(gapped, sigma, 0)
         with pytest.raises(DomainError, match="sigma_m must be >= 0"):
             estimate_gap_rog(gapped, sigma, 10, 0)
 

@@ -1,6 +1,10 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ from bridgefill import cli
 from bridgefill.cli import _build_parser, _detect_gap, main
 from bridgefill.errors import BridgefillError
 from bridgefill.generators import MODEL_NAMES, _SPECS, spec_from_dict, spec_to_dict
-from bridgefill.metrics import radius_of_gyration
+from bridgefill.metrics import radii_of_gyration
 from bridgefill.trajectory import (
     Trajectory,
     read_trajectory_csv,
@@ -48,7 +52,7 @@ class TestFill:
         assert filled.sources[20:30] == (method,) * 10
         keep = np.r_[0:20, 30:len(original)]
         assert np.array_equal(filled.coords[keep], original.coords[keep])
-        assert summary["rog_filled"] == radius_of_gyration(filled)
+        assert summary["rog_filled"] == radii_of_gyration(filled.coords)
 
     def test_linear_fill_lies_on_anchor_chord(self, path_csv, tmp_path, capsys):
         out = tmp_path / "filled.csv"
@@ -148,6 +152,47 @@ def test_csv_that_is_not_utf8_is_data_error(tmp_path, capsys, command, rows):
     err = capsys.readouterr().err
     assert f"bridgefill: error: {bad}: not readable as text" in err
     assert "Traceback" not in err
+
+
+# Runs CLI commands given as a JSON list of argument lists and prints their
+# exit codes as the last line of stdout.
+_CLI_DRIVER = """
+import json, sys
+from bridgefill.cli import main
+print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def test_text_files_are_utf8_whatever_the_locale(tmp_path):
+    # Every open without an explicit encoding raises under these flags.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "kind": "rog", "replicates": 2, "steps": 60, "gap_start": 1,
+        "gap_count": 29, "models": [{"model": "fixed-velocity"}]}),
+        encoding="utf-8")
+    bad = tmp_path / "bad.csv"
+    bad.write_text("t,x,y\n0,zero,0\n", encoding="utf-8")
+    sim, gapped = str(tmp_path / "sim.csv"), str(tmp_path / "gapped.csv")
+    commands = [
+        ["simulate", "--model", "angular-walk", "--steps", "60", "--out", sim],
+        ["gap", "--in", sim, *GAP, "--out", gapped],
+        ["fill", "--in", gapped, "--realisations", "5",
+         "--out", str(tmp_path / "filled.csv")],
+        ["estimate", "--in", sim],
+        ["metrics", "--in", sim],
+        ["experiment", "--config", str(config), "--out", str(tmp_path / "exp")],
+        ["metrics", "--in", str(bad)],
+    ]
+    src = Path(cli.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding",
+         "-W", "error::EncodingWarning", "-c", _CLI_DRIVER, json.dumps(commands)],
+        capture_output=True, text=True, encoding="utf-8", env=env, timeout=120)
+    assert "Traceback" not in run.stderr
+    assert run.returncode == 0
+    assert json.loads(run.stdout.splitlines()[-1]) == [0, 0, 0, 0, 0, 0, 3]
 
 
 class TestGapAndMetrics:
@@ -290,6 +335,41 @@ class TestExperiment:
         assert f"{field} is too large for a float" in capsys.readouterr().err
 
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_rog_summary_of_non_finite_values(self, tmp_path, capsys):
+        # every RoG overflows, so no cell has a finite value to average
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "kind": "rog", "replicates": 2,
+            "models": [{"model": "fixed-velocity", "v": 1e200}]}))
+        assert main(["experiment", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 0
+        summary = json.loads((tmp_path / "out" / "rog_summary.json").read_text())
+        for cell in summary["cells"]:
+            assert cell["count"] == 0
+            assert cell["mean_rog_before"] is None
+            assert cell["mean_rog_after"] is None
+
+    @pytest.mark.parametrize("argv, config, message", [
+        (["simulate", "--model", "fixed-velocity", "--steps", str(10 ** 30)], None,
+         "too many for one float array"),
+        (["experiment"], {"kind": "rog", "replicates": 1e30},
+         "replicates must lie in [1, 2**32]"),
+        (["experiment"], {"kind": "rog", "replicates": 1, "steps": 1e30},
+         "too many for one float array"),
+    ], ids=["simulate-steps", "config-replicates", "config-steps"])
+    def test_oversized_count_is_data_error(self, tmp_path, capsys, argv, config,
+                                           message):
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(path)]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("bridgefill: error: ") and message in err
+
+
 @pytest.mark.parametrize("argv", [
     ["experiment", "--kind", "rog", "--replicates", "1"],
     ["simulate", "--model", "fixed-velocity", "--steps", "5"],
@@ -324,6 +404,22 @@ class TestGolden:
         rog = summary["rog_estimate"]
         assert rog["mean"] == pytest.approx(27.483999943205795, rel=1e-12)
         assert rog["std_error"] == pytest.approx(0.007156754659513178, rel=1e-12)
+
+    def test_linear_fill_and_metrics(self, tmp_path, capsys):
+        sim, filled = tmp_path / "sim.csv", tmp_path / "filled.csv"
+        assert main(["simulate", "--model", "angular-walk", "--steps", "400",
+                     "--seed", "1", "--out", str(sim)]) == 0
+        capsys.readouterr()
+        assert main(["fill", "--in", str(sim), "--gap-start", "120",
+                     "--gap-count", "90", "--method", "linear", "--seed", "5",
+                     "--realisations", "50", "--out", str(filled)]) == 0
+        assert hashlib.sha256(filled.read_bytes()).hexdigest() == (
+            "85d552b552b072d386d710c0709ff57d797f12233f044f1b3a4dfb9f4b36c04f")
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "b787b26861871b7fd655072683f7cf8f3c2eb9783b84e33e432c6731d6dd34a0")
+        assert main(["metrics", "--in", str(sim)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "e6915066b7f16db93e7f1c77e1a483bca3c6c81fbd75d86f6e9216454d3ff662")
 
 
 def _traj(times):

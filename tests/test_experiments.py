@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 
 from bridgefill import experiments
-from bridgefill.errors import TooFewPointsError
+from bridgefill.errors import InvalidSpecError, TooFewPointsError
 from bridgefill.experiments import (
     _quartiles,
     _summarise_cell,
@@ -20,9 +20,8 @@ from bridgefill.experiments import (
     write_summary_json,
 )
 from bridgefill.generators import generate
-from bridgefill.metrics import radius_of_gyration
+from bridgefill.metrics import radii_of_gyration
 from bridgefill.seeding import child_seed
-from bridgefill.trajectory import Trajectory
 
 from .oracles import experiment_records
 
@@ -50,6 +49,14 @@ def test_config_round_trip(config):
     assert config_from_dict(config_to_dict(config)) == config
 
 
+def test_replicates_beyond_the_seeding_keys_rejected():
+    # replicate indices are seeding keys, which lie in [0, 2**32)
+    config = default_config("rog")
+    assert dataclasses.replace(config, replicates=2 ** 32).replicates == 2 ** 32
+    with pytest.raises(InvalidSpecError, match=r"replicates must lie in \[1, 2\*\*32\]"):
+        dataclasses.replace(config, replicates=2 ** 32 + 1)
+
+
 def _linear_rog_after(config, cell, rep):
     # Regenerate the replicate's path and replace its gap by points on the
     # straight line from the final observed point to the right anchor.
@@ -61,7 +68,7 @@ def _linear_rog_after(config, cell, rep):
     times = traj.times
     frac = (times[left + 1:right] - times[left]) / (times[right] - times[left])
     coords[left + 1:right] = start + frac[:, None] * (coords[right] - start)
-    return radius_of_gyration(Trajectory(times, coords))
+    return float(radii_of_gyration(coords))
 
 
 @pytest.mark.parametrize("gap_start, gap_count", [(1, 49), (40, 30)],

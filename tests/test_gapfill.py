@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from bridgefill import _kernels
-from bridgefill.errors import DomainError
 from bridgefill.gapfill import estimate_gap_rog, fill_gap
-from bridgefill.metrics import radius_of_gyration
+from bridgefill.metrics import radii_of_gyration
 from bridgefill.seeding import make_rng
 from bridgefill.trajectory import Trajectory, excise_gap
 
@@ -29,9 +28,8 @@ def _spliced_rogs(gapped, sigma, realisations, seed):
     fills = bridge_paths_sequential(observed.coords[split - 1],
                                     observed.coords[split], gapped.duration,
                                     sigma, shifted, noise)
-    times = np.insert(observed.times, split, gapped.missing_times)
     return [
-        radius_of_gyration(Trajectory(times, np.concatenate(
+        float(radii_of_gyration(np.concatenate(
             [observed.coords[:split], fill, observed.coords[split:]])))
         for fill in fills
     ]
@@ -60,7 +58,7 @@ class TestEstimateGapRog:
         rng = np.random.default_rng(5)
         est = estimate_gap_rog(gapped, 1.3, 4, rng)
         assert est.mean == pytest.approx(
-            radius_of_gyration(gapped.observed), rel=1e-12)
+            radii_of_gyration(gapped.observed.coords), rel=1e-12)
         assert est.std_error == 0.0
         # nothing is drawn for an empty gap
         assert rng.random() == np.random.default_rng(5).random()
@@ -70,7 +68,7 @@ class TestEstimateGapRog:
         rng = np.random.default_rng(5)
         est = estimate_gap_rog(gapped, 1.3, 1000, rng)
         assert est.mean == pytest.approx(
-            radius_of_gyration(gapped.observed), rel=1e-12)
+            radii_of_gyration(gapped.observed.coords), rel=1e-12)
         assert est.std_error <= 1e-15 * est.mean
         assert est.realisations == 1000
         assert rng.random() == np.random.default_rng(5).random()
@@ -96,26 +94,27 @@ def _anchored(count, anchors):
 
 
 class TestFillGap:
-    @pytest.mark.parametrize("method", ["bridge", "linear"])
+    @pytest.mark.parametrize("sigma", [1.3, 0.0], ids=["bridge", "linear"])
     @pytest.mark.parametrize("anchors", ["gap", "loop"])
     @pytest.mark.parametrize("count", [0, 1, 25])
-    def test_shape(self, method, anchors, count):
-        fill = fill_gap(_anchored(count, anchors), method, 1.3, 0)
+    def test_shape(self, sigma, anchors, count):
+        fill = fill_gap(_anchored(count, anchors), sigma, 0)
         assert fill.shape == (count, 2)
 
     def test_linear_gap_lies_on_anchor_chord(self):
+        # at sigma 0 the bridge is the straight line, whatever the seed
         gapped = _gapped(25)
-        fill = fill_gap(gapped, "linear", 1.3, 0)
         coords = gapped.observed.coords
         expected = _on_line(coords[9], coords[10], gapped)
-        np.testing.assert_allclose(fill, expected, rtol=0, atol=1e-12)
+        for seed in (0, 1):
+            assert np.array_equal(fill_gap(gapped, 0.0, seed), expected)
 
     def test_linear_loop_runs_from_last_point_to_right_anchor(self):
         gapped = _gapped(25)
-        fill = fill_gap(loop_gap(gapped), "linear", 1.3, 0)
+        fill = fill_gap(loop_gap(gapped), 0.0, 0)
         coords = gapped.observed.coords
         expected = _on_line(coords[-1], coords[10], gapped)
-        np.testing.assert_allclose(fill, expected, rtol=0, atol=1e-12)
+        assert np.array_equal(fill, expected)
 
     @pytest.mark.parametrize("anchors", ["gap", "loop"])
     def test_bridge_is_one_sample_between_the_same_anchors(self, anchors):
@@ -127,15 +126,4 @@ class TestFillGap:
         [expected] = _kernels.bridge_paths(start, coords[10], gapped.duration, 1.3,
                                            shifted, noise)
         assert np.array_equal(
-            fill_gap(_anchored(25, anchors), "bridge", 1.3, 8), expected)
-
-    @pytest.mark.parametrize("anchors", ["gap", "loop"])
-    def test_zero_sigma_bridge_is_linear(self, anchors):
-        gapped = _anchored(25, anchors)
-        np.testing.assert_allclose(fill_gap(gapped, "bridge", 0.0, 3),
-                                   fill_gap(gapped, "linear", 0.0, 3),
-                                   rtol=0, atol=1e-9)
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(DomainError, match="unknown fill method 'spline'"):
-            fill_gap(_gapped(5), "spline", 1.3, 0)
+            fill_gap(_anchored(25, anchors), 1.3, 8), expected)

@@ -18,7 +18,7 @@ from bridgefill.generators import (
     spec_from_dict,
     spec_to_dict,
 )
-from bridgefill.metrics import path_length
+from bridgefill.metrics import path_lengths
 from bridgefill import _kernels
 from bridgefill.seeding import child_seed, make_rng
 
@@ -69,6 +69,12 @@ class TestGenerateMany:
         with pytest.raises(InvalidSpecError):
             generate_many(FixedVelocity(), 2.5, [1])
 
+    @pytest.mark.parametrize("steps", [2 ** 62, 10 ** 30], ids=["2**62", "10**30"])
+    def test_steps_beyond_an_array_rejected(self, steps):
+        # checked before anything is allocated
+        with pytest.raises(InvalidSpecError, match="too many for one float array"):
+            generate_many(FixedVelocity(), steps, [1])
+
     def test_needs_a_seed(self):
         with pytest.raises(InvalidSpecError, match="at least one seed"):
             generate_many(FixedVelocity(), 5, [])
@@ -104,7 +110,7 @@ class TestAngularWalk:
     def test_zero_noise_is_straight(self):
         traj = generate(AngularWalk(sigma=0.0, v=1.0), 10, 3)
         assert len(traj) == 11
-        assert path_length(traj) == pytest.approx(10.0, rel=1e-12)
+        assert path_lengths(traj.coords) == pytest.approx(10.0, rel=1e-12)
         chord = np.hypot(*(traj.coords[-1] - traj.coords[0]))
         assert chord == pytest.approx(10.0, rel=1e-12)
 

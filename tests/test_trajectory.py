@@ -15,7 +15,7 @@ from bridgefill.errors import (
     OutOfRangeError,
     TimeMismatchError,
 )
-from bridgefill.metrics import path_length
+from bridgefill.metrics import path_lengths
 from bridgefill.trajectory import (
     GappedTrajectory,
     Trajectory,
@@ -63,7 +63,7 @@ class TestBuildTrajectory:
 
     def test_345_triangle_length(self):
         traj = Trajectory([0, 1], [[0, 0], [3, 4]])
-        assert path_length(traj) == 5.0
+        assert path_lengths(traj.coords) == 5.0
 
     def test_arrays_are_read_only(self):
         traj = unit_path(4)
@@ -157,7 +157,7 @@ class TestSpliceFill:
         )
         from bridgefill.gapfill import fill_gap
 
-        merged = splice_fill(gapped, fill_gap(gapped, "linear", 0.0, 0), "linear")
+        merged = splice_fill(gapped, fill_gap(gapped, 0.0, 0), "linear")
         assert merged.coords[:, 0].tolist() == [0, 2, 4, 6, 8, 10]
         assert merged.sources == ("observed",) + ("linear",) * 4 + ("observed",)
 
