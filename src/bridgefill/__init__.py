@@ -16,7 +16,7 @@ synthetic movement models, gap handling, and the two batch experiments.
 
 from ._version import __version__
 from ._kernels import BACKEND
-from .bridge import expected_path_length
+from .bridge import expected_path_length, rice_mean
 from .errors import (
     BridgefillError,
     CsvFormatError,
@@ -56,7 +56,6 @@ from .generators import (
 )
 from .metrics import path_lengths, radii_of_gyration
 from .seeding import child_seed, make_rng
-from .special import bessel_i_scaled, laguerre_half, rice_mean
 from .trajectory import (
     GappedTrajectory,
     Trajectory,
@@ -72,10 +71,8 @@ __all__ = [
     # trajectory
     "Trajectory", "GappedTrajectory", "excise_gap", "splice_fill",
     "read_trajectory_csv", "write_trajectory_csv",
-    # special functions
-    "bessel_i_scaled", "laguerre_half", "rice_mean",
     # bridge
-    "expected_path_length",
+    "expected_path_length", "rice_mean",
     # estimator
     "SigmaEstimate", "estimate_sigma",
     # generators

@@ -91,7 +91,8 @@ def _detect_gap(traj: Trajectory) -> GappedTrajectory:
             "gap auto-detection needs integer timestamps; "
             "pass --gap-start/--gap-count instead"
         )
-    jumps = np.flatnonzero(np.diff(times) > 1)
+    with np.errstate(over="ignore"):  # an inf step is a gap too
+        jumps = np.flatnonzero(np.diff(times) > 1)
     if len(jumps) == 0:
         raise BridgefillError("no missing timestamps between min and max")
     if len(jumps) > 1:

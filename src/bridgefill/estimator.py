@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooFewPointsError
+from .errors import NonFiniteError, TooFewPointsError
 from .trajectory import Trajectory
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -61,27 +61,29 @@ def _stats(times: np.ndarray, coords: np.ndarray) -> tuple[int, int, float, np.n
     left, mid, right = (np.s_[i:i + 2 * n_pairs:2] for i in range(3))
     t0, t1, t2 = times[left], times[mid], times[right]
     z0, z1, z2 = coords[:, left], coords[:, mid], coords[:, right]
-    spans = t2 - t0
-    taus = t1 - t0
-    weights = taus * (spans - taus) / spans
-    expect = z0 + (taus / spans)[:, None] * (z2 - z0)
-    dev_sq = ((z1 - expect) ** 2).sum(axis=2)
-    keep = weights > VARIANCE_WEIGHT_FLOOR
-    n_kept = int(keep.sum())
-    if n_kept == 0:
-        raise TooFewPointsError("trajectory yields no usable triple")
-    sum_log_a = float(np.log(weights[keep]).sum())
-    # A row reduced as one contiguous run takes numpy's pairwise sum of a
-    # 1-D array, so each path's sum equals its one-path value; a strided
-    # layout would sum in another order.
-    quad = np.ascontiguousarray(dev_sq[:, keep] / weights[keep]).sum(axis=1)
+    # Far-apart finite points can overflow; estimate_sigma rejects that fit.
+    with np.errstate(over="ignore", invalid="ignore"):
+        spans = t2 - t0
+        taus = t1 - t0
+        weights = taus * (spans - taus) / spans
+        expect = z0 + (taus / spans)[:, None] * (z2 - z0)
+        dev_sq = ((z1 - expect) ** 2).sum(axis=2)
+        keep = weights > VARIANCE_WEIGHT_FLOOR
+        n_kept = int(keep.sum())
+        if n_kept == 0:
+            raise TooFewPointsError("trajectory yields no usable triple")
+        sum_log_a = float(np.log(weights[keep]).sum())
+        # A row reduced as one contiguous run takes numpy's pairwise sum of
+        # a 1-D array, so each path's sum equals its one-path value; a
+        # strided layout would sum in another order.
+        quad = np.ascontiguousarray(dev_sq[:, keep] / weights[keep]).sum(axis=1)
     return n_kept, n_pairs - n_kept, sum_log_a, quad
 
 
 def estimate_sigmas(times: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """``estimate_sigma(...).sigma_m`` of m paths sampled at the same
     ``times`` (n,), ``coords`` (m, n, 2); returns (m,), equal bit for bit to
-    the one-path estimates."""
+    the one-path estimates, but a row whose fit overflows gets inf or NaN."""
     n_kept, _, _, quad = _stats(times, coords)
     return np.maximum(np.sqrt(quad / (2.0 * n_kept)), SIGMA_FLOOR)
 
@@ -92,7 +94,8 @@ def estimate_sigma(traj: Trajectory) -> SigmaEstimate:
     The result is raised to ``SIGMA_FLOOR`` (and ``clamped`` set) when the
     maximiser is smaller. Raises TooFewPointsError when the trajectory has
     fewer than three points or every triple has a degenerate variance
-    weight.
+    weight, and NonFiniteError when the maximiser or its log-likelihood
+    overflows a double.
     """
     n_kept, n_skipped, sum_log_a, quads = _stats(traj.times, traj.coords[None])
     quad = float(quads[0])
@@ -100,6 +103,8 @@ def estimate_sigma(traj: Trajectory) -> SigmaEstimate:
     sigma = max(mle, SIGMA_FLOOR)
     log_lik = (-n_kept * _LOG_2PI - sum_log_a - 2.0 * n_kept * math.log(sigma)
                - quad / (2.0 * sigma * sigma))
+    if not (math.isfinite(sigma) and math.isfinite(log_lik)):
+        raise NonFiniteError("the sigma_m fit overflows: the points are too far apart")
     return SigmaEstimate(
         sigma_m=sigma,
         log_likelihood_at_max=log_lik,

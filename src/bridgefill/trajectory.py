@@ -74,7 +74,7 @@ class Trajectory:
             raise ValueError("a trajectory needs at least one point")
         if not np.isfinite(times).all() or not np.isfinite(coords).all():
             raise NonFiniteError("timestamps and coordinates must be finite")
-        if len(times) > 1 and not (np.diff(times) > 0).all():
+        if not (times[1:] > times[:-1]).all():
             raise NonMonotonicTimeError("timestamps must be strictly increasing")
         if self.sources is not None:
             sources = tuple(self.sources)
@@ -92,8 +92,10 @@ class GappedTrajectory:
 
     The gap sits between observed point ``split - 1``, its left anchor, and
     observed point ``split``, its right anchor, so ``1 <= split <
-    len(observed)``, otherwise OutOfRangeError. ``missing_times`` lists the
-    timestamps to reconstruct, strictly between the anchors.
+    len(observed)``, otherwise OutOfRangeError. The time span and the chord
+    between the anchors must be finite doubles, otherwise NonFiniteError.
+    ``missing_times`` lists the timestamps to reconstruct, strictly between
+    the anchors.
     """
 
     observed: Trajectory
@@ -105,11 +107,15 @@ class GappedTrajectory:
             raise OutOfRangeError(
                 f"split must lie in [1, {len(self.observed)}), got {self.split}"
             )
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(self.duration) and np.isfinite(self.chord).all()
+        if not finite:
+            raise NonFiniteError("the time span and chord of a gap must be finite")
         missing = _freeze(np.atleast_1d(self.missing_times))
         object.__setattr__(self, "missing_times", missing)
         if len(missing) > 0:
             t_left, t_right = self.observed.times[self.split - 1:self.split + 1]
-            if not (np.diff(missing) > 0).all():
+            if not (missing[1:] > missing[:-1]).all():
                 raise NonMonotonicTimeError("missing times must be strictly increasing")
             if not (missing[0] > t_left and missing[-1] < t_right):
                 raise NonMonotonicTimeError(

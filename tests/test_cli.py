@@ -126,6 +126,44 @@ class TestFill:
         assert main(["fill", "--in", str(bad), "--out", str(tmp_path / "o.csv")]) == 3
         assert "bridgefill: error:" in capsys.readouterr().err
 
+    # The suite turns numpy's RuntimeWarnings into errors, so these also
+    # check that an overflow is rejected before any arithmetic warns.
+    @pytest.mark.parametrize("rows", [
+        "-1e308,0,0\n0,0,0\n1e308,1,0\n",  # the time span overflows
+        "0,-1e308,0\n1,0,0\n2,1e308,0\n",  # the chord overflows
+    ], ids=["span", "chord"])
+    @pytest.mark.parametrize("method", ["bridge", "linear"])
+    def test_overflowing_gap_is_data_error(self, tmp_path, capsys, rows, method):
+        src = tmp_path / "in.csv"
+        src.write_text("t,x,y\n" + rows)
+        out = tmp_path / "o.csv"
+        assert main(["fill", "--in", str(src), "--method", method,
+                     "--gap-start", "1", "--gap-count", "1", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "bridgefill: error: the time span and chord of a gap must be finite" in err
+        assert not out.exists()
+
+    # The summary's radius of gyration overflows first and warns.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_overflowing_rice_argument_is_data_error(self, tmp_path, capsys):
+        # sigma_m^2 T and the chord are finite, but the chord's square is not.
+        src = tmp_path / "in.csv"
+        src.write_text("t,x,y\n0,0,0\n1,0,0\n2,2e154,0\n")
+        assert main(["fill", "--in", str(src), "--sigma", "9.4e153",
+                     "--gap-start", "1", "--gap-count", "1",
+                     "--out", str(tmp_path / "o.csv")]) == 3
+        assert "bridgefill: error: a^2 / (4b) must be finite" in capsys.readouterr().err
+
+    def test_overflowing_sigma_is_data_error(self, tmp_path, capsys):
+        src = tmp_path / "in.csv"
+        src.write_text("t,x,y\n0,0,0\n1,1e200,0\n2,0,0\n3,1,0\n4,0,0\n")
+        assert main(["estimate", "--in", str(src)]) == 3
+        assert main(["fill", "--in", str(src), "--gap-start", "2", "--gap-count", "1",
+                     "--out", str(tmp_path / "o.csv")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("bridgefill: error: the sigma_m fit overflows") == 2
 
     def test_second_fill_keeps_first_fill_labels(self, path_csv, tmp_path, capsys):
         first, second = tmp_path / "first.csv", tmp_path / "second.csv"
@@ -469,8 +507,9 @@ class TestDetectGap:
         [0, 1, 3, 1e19],  # several gaps, one too wide to list
         [0, 1, 1e300],  # one gap too wide to list
         [0, 1, 1e18],  # one gap too large to allocate
+        [-1e308, 1e308],  # a step that overflows
     ], ids=["non-integer", "several", "none", "several-wide", "too-wide",
-            "too-large"])
+            "too-large", "overflowing-step"])
     def test_rejected(self, times):
         with pytest.raises(BridgefillError):
             _detect_gap(_traj(times))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bridgefill import _kernels
-from bridgefill.errors import DomainError, TooFewPointsError
+from bridgefill.errors import DomainError, NonFiniteError, TooFewPointsError
 from bridgefill.estimator import SIGMA_FLOOR, estimate_sigma, estimate_sigmas
 from bridgefill.seeding import make_rng
 from bridgefill.trajectory import Trajectory
@@ -223,6 +223,17 @@ class TestEstimateSigma:
         assert est.sigma_m == pytest.approx(oracle, rel=1e-12)
         assert not est.clamped
 
+    @pytest.mark.parametrize("rows", [
+        [(0, 0, 0), (1, 1e200, 0), (2, 0, 0), (3, 1, 0), (4, 0, 0)],  # r^2
+        [(0, 0, 0), (1e160, 1, 0), (2e160, 0, 0)],  # the variance weight
+        [(0, 0, 0), (1e160, 1e200, 0), (2e160, 0, 0)],  # both
+    ], ids=["distance", "weight", "both"])
+    def test_overflowing_fit_rejected(self, rows):
+        # The suite's warnings filter also checks that no numpy
+        # RuntimeWarning escapes.
+        with pytest.raises(NonFiniteError, match="overflows"):
+            estimate_sigma(from_rows(rows))
+
 
 class TestEstimateSigmas:
     @pytest.mark.parametrize("n", [5, 6, 101, 500])
@@ -243,3 +254,18 @@ class TestEstimateSigmas:
     def test_no_usable_triple(self):
         with pytest.raises(TooFewPointsError):
             estimate_sigmas(np.arange(2.0), np.zeros((3, 2, 2)))
+
+    def test_overflowing_row_is_inf(self):
+        coords = np.zeros((2, 5, 2))
+        coords[0, 1, 0] = 1e200
+        got = estimate_sigmas(np.arange(5.0), coords)
+        assert got.tolist() == [math.inf, SIGMA_FLOOR]
+
+    def test_infinite_weight_row(self):
+        # The variance weight overflows; over it, an overflowing deviation
+        # gives NaN and a finite one gives a maximiser of 0.
+        coords = np.zeros((2, 3, 2))
+        coords[:, 1, 0] = [1e200, 1.0]
+        got = estimate_sigmas(np.array([0.0, 1e160, 2e160]), coords)
+        assert math.isnan(got[0])
+        assert got[1] == SIGMA_FLOOR

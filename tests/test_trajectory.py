@@ -141,6 +141,15 @@ class TestGappedTrajectory:
         with pytest.raises(NonMonotonicTimeError, match=message):
             GappedTrajectory(observed, 2, np.array(missing))
 
+    @pytest.mark.parametrize("times, x", [
+        ([-1e308, 1e308], [0.0, 1.0]),
+        ([0.0, 1.0], [-1e308, 1e308]),
+    ], ids=["span", "chord"])
+    def test_overflowing_span_or_chord_rejected(self, times, x):
+        observed = Trajectory(times, np.column_stack([x, [0.0, 0.0]]))
+        with pytest.raises(NonFiniteError, match="must be finite"):
+            GappedTrajectory(observed, 1, np.array([]))
+
 
 class TestSpliceFill:
     def test_empty_fill_concatenates(self):
