@@ -17,9 +17,11 @@ BACKEND = "numpy"
 
 def bridge_paths(start, end, duration, sigma_m, times, noise):
     """Bridges from ``start`` at 0 to ``end`` at ``duration`` at the
-    interior ``times`` (k,), driven by standard normals ``noise`` (m, k, 2);
-    returns (m, k, 2) positions. ``start`` and ``end`` are one (2,) point
-    or one per path, (m, 2); ``sigma_m`` is a scalar or one per path, (m,).
+    interior ``times`` (k,), driven by standard normals ``noise`` (..., k, 2)
+    with any leading batch shape, such as (m,) paths or (methods, m);
+    returns positions of the shape of ``noise``. ``start`` and ``end``
+    broadcast as (..., 2) points and ``sigma_m`` as (...), so each may be
+    shared or given per path.
 
     Exact at any interior times, with pinned endpoints: at time t a point
     is Gaussian around the chord with per-coordinate variance
@@ -38,7 +40,7 @@ def bridge_paths(start, end, duration, sigma_m, times, noise):
     rest = duration - times
     sd = np.asarray(sigma_m, dtype=float)[..., None] * np.sqrt(dt * rest / (rest + dt))
     out = noise * (sd / rest)[..., None]
-    np.cumsum(out, axis=1, out=out)
+    np.cumsum(out, axis=-2, out=out)
     out *= rest[:, None]
     out += start + (times / duration)[:, None] * (end - start)
     return out

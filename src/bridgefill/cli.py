@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .errors import BridgefillError, InvalidSpecError
+from .errors import BridgefillError, InvalidSpecError, NonFiniteError
 from .estimator import estimate_sigma
 from .experiments import (
     KINDS,
@@ -49,7 +49,6 @@ from .trajectory import (
     write_trajectory_csv,
 )
 
-USAGE_ERROR = 2
 DATA_ERROR = 3
 
 
@@ -104,8 +103,8 @@ def _detect_gap(traj: Trajectory) -> GappedTrajectory:
         missing = np.arange(int(times[split - 1]) + 1, int(times[split]))
     except (ValueError, MemoryError) as exc:
         raise BridgefillError(
-            f"cannot list the missing timestamps between {times[split - 1]!r} "
-            f"and {times[split]!r}: {exc}") from None
+            f"cannot list the missing timestamps between {float(times[split - 1])!r} "
+            f"and {float(times[split])!r}: {exc}") from None
     return GappedTrajectory(traj, split, missing.astype(float))
 
 
@@ -131,31 +130,35 @@ def _cmd_gap(args, parser) -> int:
     return 0
 
 
-def _print_json(obj: dict) -> None:
-    json.dump(obj, sys.stdout, indent=2, sort_keys=True)
-    print()
+def _json_text(obj: dict) -> str:
+    """``obj`` as strict JSON; raises NonFiniteError on a NaN or infinity,
+    which JSON cannot hold."""
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteError(f"a result is not finite: {exc}") from None
 
 
 def _cmd_estimate(args, parser) -> int:
     traj = read_trajectory_csv(args.infile)
     est = estimate_sigma(traj)
-    _print_json({
+    print(_json_text({
         "sigma_hat": est.sigma_m,
         "log_likelihood": est.log_likelihood_at_max,
         "n_triples": est.n_triples,
         "n_skipped": est.n_skipped,
         "clamped": est.clamped,
-    })
+    }))
     return 0
 
 
 def _cmd_metrics(args, parser) -> int:
     traj = read_trajectory_csv(args.infile)
-    _print_json({
+    print(_json_text({
         "path_length": float(path_lengths(traj.coords)),
         "rog": float(radii_of_gyration(traj.coords)),
         "point_count": len(traj),
-    })
+    }))
     return 0
 
 
@@ -199,8 +202,9 @@ def _cmd_fill(args, parser) -> int:
     summary["expected_gap_length"] = estimate_gap_length(gapped, sigma)
     filled = splice_fill(gapped, fill, args.method)
     summary["rog_filled"] = float(radii_of_gyration(filled.coords))
+    text = _json_text(summary)  # before writing, so a non-finite result leaves no file
     write_trajectory_csv(args.out, filled)
-    _print_json(summary)
+    print(text)
     return 0
 
 
@@ -229,11 +233,11 @@ def _cmd_experiment(args, parser) -> int:
     summary_path = out_dir / f"{stem}_summary.json"
     write_records_csv(report, records_path)
     write_summary_json(report, summary_path)
-    _print_json({
+    print(_json_text({
         "records": str(records_path),
         "summary": str(summary_path),
         "record_count": len(report.records),
-    })
+    }))
     return 0
 
 

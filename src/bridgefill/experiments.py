@@ -21,10 +21,13 @@ Two experiment kinds are built in:
 
 Each (model, replicates) cell runs as arrays, one row per replicate, in
 blocks that bound memory: one generator call builds the block's paths,
-excision is slicing at fixed indices, one estimator call fits every row,
-and for ``rog`` one kernel call builds both fills of every replicate (the
-straight line being the bridge with sigma 0). Every row equals what the
-single-path functions give for that replicate, bit for bit.
+excision is slicing at fixed indices, and one estimator call fits every
+row. A cell's result is one table of (2, replicates) record columns, the
+fill method on axis 0 in ``METHODS`` order; for ``rog`` one kernel call
+builds both fills of every replicate along that axis (the straight line
+being the bridge with sigma 0). Records, CSV and summary all read that
+table. Every value equals what the single-path functions give for that
+replicate, bit for bit.
 
 Every replicate still has its own streams: the key ``(cell_index,
 replicate, purpose)`` has the child seed ``SeedSequence((master,
@@ -46,6 +49,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -63,6 +67,7 @@ from .generators import (
     InternalStateWalk,
     ModelSpec,
     RunTumble,
+    _json_number,
     generate_many,
     spec_from_dict,
     spec_to_dict,
@@ -170,13 +175,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                 raise InvalidSpecError(f"models must be a list, got {value!r}")
             value = tuple(spec_from_dict(m) for m in value)
         elif types[key] == "int":  # annotations are strings in this module
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise InvalidSpecError(f"{key} must be an integer, got {value!r}")
-            try:
-                whole = float(value).is_integer()
-            except OverflowError:
-                raise InvalidSpecError(f"{key} is too large for a float") from None
-            if not whole:
+            if not _json_number(key, value).is_integer():
                 raise InvalidSpecError(f"{key} must be an integer, got {value!r}")
             value = int(value)
         checked[key] = value
@@ -211,9 +210,10 @@ def _ratios(estimated: np.ndarray, true: np.ndarray) -> np.ndarray:
 
 
 def _run_block(config: ExperimentConfig, spec: ModelSpec, seeds: np.ndarray,
-               words: np.ndarray) -> dict[str, dict[str, np.ndarray]]:
-    """One block of a cell's replicates as arrays, one row per replicate:
-    per method, the record columns from ``seed`` on, ``method`` aside.
+               words: np.ndarray) -> dict[str, np.ndarray]:
+    """One block of a cell's replicates: the record columns from ``seed``
+    on, ``method`` aside, each (2, m) with one row per method in
+    ``METHODS`` order and one column per replicate.
 
     ``seeds`` (m, purposes) and ``words`` (m, purposes, 4) hold each
     replicate's child seeds and PCG64 seed words by purpose."""
@@ -225,62 +225,50 @@ def _run_block(config: ExperimentConfig, spec: ModelSpec, seeds: np.ndarray,
         np.concatenate([coords[:, :left + 1], coords[:, right:]], axis=1),
     )
     duration = times[right] - times[left]
-    shared = {"seed": seeds[:, 0], "sigma_hat": sigma}
+    seed = seeds[:, 0]
+    shared = {"seed": np.array([seed, seed]), "sigma_hat": np.array([sigma, sigma])}
 
     if config.kind == PATH_LENGTH_KIND:
         true_length = path_lengths(coords[:, left:right + 1])
         chord = coords[:, right] - coords[:, left]
-        estimates = {
-            "bridge": np.array([
-                expected_path_length(s, duration, d, config.gap_count + 1)
-                for s, d in zip(sigma.tolist(), chord.tolist())
-            ]),
-            "linear": np.hypot(chord[:, 0], chord[:, 1]),
-        }
-        return {
-            method: {**shared, "true_length": true_length, "estimated_length": est,
-                     "length_ratio": _ratios(est, true_length)}
-            for method, est in estimates.items()
-        }
+        estimated = np.array([
+            [expected_path_length(s, duration, d, config.gap_count + 1)
+             for s, d in zip(sigma.tolist(), chord.tolist())],
+            np.hypot(chord[:, 0], chord[:, 1]),
+        ])
+        return {**shared, "true_length": np.array([true_length, true_length]),
+                "estimated_length": estimated,
+                "length_ratio": _ratios(estimated, true_length)}
 
-    # Both fills of every replicate in one kernel call, bridges first: a
-    # bridge draws from its replicate's own fill stream, and the straight
+    # Both fills of every replicate in one kernel call, along a method axis:
+    # a bridge draws from its replicate's own fill stream, and the straight
     # line is the bridge with sigma 0.
     m, k = len(seeds), config.gap_count
-    noise = np.zeros((2 * m, k, 2))
+    noise = np.zeros((2, m, k, 2))
     for i, rng in enumerate(rngs_from_words(words[:, 1])):
-        rng.standard_normal(out=noise[i])
-    start = coords[:, -1]
-    end = coords[:, right]
-    filled = np.concatenate([coords, coords])
-    filled[:, left + 1:right] = _kernels.bridge_paths(
-        np.concatenate([start, start]), np.concatenate([end, end]), duration,
-        np.concatenate([sigma, np.zeros(m)]), times[left + 1:right] - times[left],
-        noise,
+        rng.standard_normal(out=noise[0, i])
+    filled = np.array([coords, coords])
+    filled[:, :, left + 1:right] = _kernels.bridge_paths(
+        coords[:, -1], coords[:, right], duration, [sigma, np.zeros(m)],
+        times[left + 1:right] - times[left], noise,
     )
     rog_before = radii_of_gyration(coords)
     rog_after = radii_of_gyration(filled)
-    return {
-        method: {**shared, "rog_before": rog_before, "rog_after": after,
-                 "rog_error": _ratios(after, rog_before)}
-        for method, after in (("bridge", rog_after[:m]), ("linear", rog_after[m:]))
-    }
+    return {**shared, "rog_before": np.array([rog_before, rog_before]),
+            "rog_after": rog_after, "rog_error": _ratios(rog_after, rog_before)}
 
 
 def _run_cell(config: ExperimentConfig, spec: ModelSpec, seeds: np.ndarray,
-              words: np.ndarray) -> dict[str, dict[str, np.ndarray]]:
-    """All replicates of one cell, in blocks of about ``_BLOCK_POINTS``
-    path points, so memory stays bounded however many replicates run."""
+              words: np.ndarray) -> dict[str, np.ndarray]:
+    """All replicates of one cell as (2, replicates) columns, in blocks of
+    about ``_BLOCK_POINTS`` path points, so memory stays bounded however
+    many replicates run."""
     block = max(1, _BLOCK_POINTS // (config.steps + 1))
     parts = [
         _run_block(config, spec, seeds[lo:lo + block], words[lo:lo + block])
         for lo in range(0, config.replicates, block)
     ]
-    return {
-        method: {name: np.concatenate([p[method][name] for p in parts])
-                 for name in parts[0][method]}
-        for method in METHODS
-    }
+    return {name: np.concatenate([p[name] for p in parts], axis=1) for name in parts[0]}
 
 
 def _quartiles(values: np.ndarray) -> list[float]:
@@ -339,10 +327,7 @@ def _summarise_cell(kind: str, spec: ModelSpec, method: str,
         for key in ("rog_before", "rog_after"):
             finite = columns[key][np.isfinite(columns[key])]
             cell[f"mean_{key}"] = math.fsum(finite) / len(finite) if len(finite) else None
-        histogram: dict[str, int] = {}
-        for v in values:
-            key = f"{round(v, 1):.1f}"
-            histogram[key] = histogram.get(key, 0) + 1
+        histogram = Counter(f"{v:.1f}" for v in values.tolist())
         cell["histogram"] = {k: histogram[k] for k in sorted(histogram, key=float)}
     return cell
 
@@ -359,22 +344,24 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     shape = (len(config.models), config.replicates, purposes)
     seeds, words = child_states(config.master_seed, np.indices(shape).reshape(3, -1).T)
     seeds, words = seeds.reshape(shape), words.reshape(*shape, -1)
+    names = _RECORD_COLUMNS[config.kind]
+    reps = config.replicates
     records: list[dict] = []
     cells = []
     for spec, cell_seeds, cell_words in zip(config.models, seeds, words):
         columns = _run_cell(config, spec, cell_seeds, cell_words)
-        rows = {
-            method: [dict(zip(cols, row))
-                     for row in zip(*(col.tolist() for col in cols.values()))]
-            for method, cols in columns.items()
+        values = {
+            "model": [spec_to_dict(spec)["model"]] * (2 * reps),
+            "params": [_params_label(spec)] * (2 * reps),
+            "replicate": np.arange(reps).repeat(2).tolist(),
+            "method": METHODS * reps,
+            **{name: col.T.ravel().tolist() for name, col in columns.items()},
         }
-        base = {"model": spec_to_dict(spec)["model"], "params": _params_label(spec)}
-        for rep in range(config.replicates):
-            for method in METHODS:
-                records.append({**base, "replicate": rep, "method": method,
-                                **rows[method][rep]})
-        cells.extend(_summarise_cell(config.kind, spec, method, columns[method])
-                     for method in METHODS)
+        records.extend(dict(zip(names, row)) for row in zip(*map(values.get, names)))
+        cells.extend(
+            _summarise_cell(config.kind, spec, method,
+                            {name: col[j] for name, col in columns.items()})
+            for j, method in enumerate(METHODS))
     summary = {
         "kind": config.kind,
         "config": config_to_dict(config),
@@ -392,11 +379,7 @@ def write_records_csv(report: ExperimentReport, path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(columns) + "\n")
         for record in report.records:
-            row = []
-            for col in columns:
-                v = record[col]
-                row.append(repr(float(v)) if isinstance(v, float) else str(v))
-            fh.write(",".join(row) + "\n")
+            fh.write(",".join(str(record[c]) for c in columns) + "\n")
 
 
 def write_summary_json(report: ExperimentReport, path: str | Path) -> None:

@@ -101,12 +101,14 @@ def estimate_gap_rog(
     observed = gapped.observed.coords - centre
     fills -= centre
     n_total = len(observed) + gapped.n_missing
-    sum_sq = (observed ** 2).sum() + (fills ** 2).sum(axis=(1, 2))
-    mean_offset = (observed.sum(axis=0) + fills.sum(axis=1)) / n_total
-    rogs = np.sqrt(sum_sq / n_total - (mean_offset ** 2).sum(axis=1))
-    mean = math.fsum(rogs) / realisations
+    with np.errstate(over="ignore", invalid="ignore"):
+        sum_sq = (observed ** 2).sum() + (fills ** 2).sum(axis=(1, 2))
+        mean_offset = (observed.sum(axis=0) + fills.sum(axis=1)) / n_total
+        rogs = np.sqrt(sum_sq / n_total - (mean_offset ** 2).sum(axis=1))
+        mean = math.fsum(rogs) / realisations
+        squares = (rogs - mean) ** 2
     if realisations == 1:
         return GapRogEstimate(mean=mean, std_error=math.nan, realisations=1)
-    var = math.fsum((rogs - mean) ** 2) / (realisations - 1)
+    var = math.fsum(squares) / (realisations - 1)
     std_error = math.sqrt(var / realisations)
     return GapRogEstimate(mean=mean, std_error=std_error, realisations=realisations)

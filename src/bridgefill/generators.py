@@ -239,6 +239,17 @@ def spec_to_dict(spec: ModelSpec) -> dict:
             **{k: v for k, v in vars(spec).items() if v is not None}}
 
 
+def _json_number(key: str, value) -> float:
+    """``value``, a JSON number of the field ``key``, as a float; raises
+    InvalidSpecError on a bool, a non-number or a float overflow."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidSpecError(f"{key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidSpecError(f"{key} is too large for a float") from None
+
+
 def spec_from_dict(data: dict) -> ModelSpec:
     """Inverse of :func:`spec_to_dict`; raises InvalidSpecError on unknown
     models or parameters, a parameter that is not a number or overflows a
@@ -259,12 +270,7 @@ def spec_from_dict(data: dict) -> ModelSpec:
             f"unknown parameter(s) {sorted(unknown)} for model {name!r}"
         )
     for key, value in params.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise InvalidSpecError(f"{key} must be a number, got {value!r}")
-        try:
-            params[key] = float(value)
-        except OverflowError:
-            raise InvalidSpecError(f"{key} is too large for a float") from None
+        params[key] = _json_number(key, value)
     for f in fields(cls):
         if f.default is MISSING and f.name not in params:
             raise InvalidSpecError(f"{name} requires parameter {f.name}")

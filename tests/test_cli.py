@@ -143,9 +143,6 @@ class TestFill:
         assert "bridgefill: error: the time span and chord of a gap must be finite" in err
         assert not out.exists()
 
-    # The summary's radius of gyration overflows first and warns.
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
     def test_overflowing_rice_argument_is_data_error(self, tmp_path, capsys):
         # sigma_m^2 T and the chord are finite, but the chord's square is not.
         src = tmp_path / "in.csv"
@@ -154,6 +151,16 @@ class TestFill:
                      "--gap-start", "1", "--gap-count", "1",
                      "--out", str(tmp_path / "o.csv")]) == 3
         assert "bridgefill: error: a^2 / (4b) must be finite" in capsys.readouterr().err
+
+    def test_overflowing_linear_fill_is_data_error(self, tmp_path, capsys):
+        src, out = tmp_path / "in.csv", tmp_path / "o.csv"
+        src.write_text("t,x,y\n0,0,0\n1,0,0\n2,2e154,0\n")
+        assert main(["fill", "--in", str(src), "--method", "linear",
+                     "--gap-start", "1", "--gap-count", "1", "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bridgefill: error: a result is not finite" in captured.err
+        assert not out.exists()
 
     def test_overflowing_sigma_is_data_error(self, tmp_path, capsys):
         src = tmp_path / "in.csv"
@@ -269,6 +276,16 @@ class TestGapAndMetrics:
             np.linalg.norm(np.diff(c, axis=0), axis=1).sum(), rel=1e-12)
         assert got["rog"] == pytest.approx(
             np.sqrt(np.mean(np.sum((c - c.mean(axis=0)) ** 2, axis=1))), rel=1e-12)
+
+    # Numpy's overflow warnings are errors in this suite, so this also checks
+    # that the overflowing radius of gyration stays silent.
+    def test_overflowing_metrics_are_data_error(self, tmp_path, capsys):
+        src = tmp_path / "in.csv"
+        src.write_text("t,x,y\n0,0,0\n1,0,0\n2,2e154,0\n")
+        assert main(["metrics", "--in", str(src)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bridgefill: error: a result is not finite" in captured.err
 
 
 class TestExperiment:
@@ -513,3 +530,10 @@ class TestDetectGap:
     def test_rejected(self, times):
         with pytest.raises(BridgefillError):
             _detect_gap(_traj(times))
+
+    def test_unlistable_gap_names_its_anchors_as_plain_floats(self, tmp_path, capsys):
+        src = tmp_path / "in.csv"
+        src.write_text("t,x,y\n-1e308,0,0\n1e308,1,0\n")
+        assert main(["fill", "--in", str(src), "--out", str(tmp_path / "o.csv")]) == 3
+        err = capsys.readouterr().err
+        assert "cannot list the missing timestamps between -1e+308 and 1e+308: " in err

@@ -49,6 +49,21 @@ class TestBridgePaths:
                                         noise[i:i + 1])
             assert np.array_equal(got[i], one[0])
 
+    def test_method_axis(self):
+        # Noise (2, m, k, 2) with a sigma per method and path, and anchors
+        # shared by both methods, equals one call per method, bit for bit.
+        times = UNEVEN_TIMES[1]
+        rng = np.random.default_rng(5)
+        start, end = rng.normal(size=(4, 2)), rng.normal(size=(4, 2))
+        sigma = np.array([[0.3, 1.7, 2.5, 1e-3], np.zeros(4)])
+        noise = np.zeros((2, 4, len(times), 2))
+        noise[0] = rng.standard_normal((4, len(times), 2))
+        got = _kernels.bridge_paths(start, end, 10.0, sigma, times, noise)
+        assert got.shape == noise.shape
+        for j in range(2):
+            one = _kernels.bridge_paths(start, end, 10.0, sigma[j], times, noise[j])
+            assert np.array_equal(got[j], one)
+
 
 def test_numpy_is_the_only_backend():
     assert bridgefill.BACKEND == "numpy"
