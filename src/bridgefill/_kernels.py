@@ -4,6 +4,10 @@ All kernels consume pre-drawn random variates; the generators stay with the
 callers, so a seed means the same draws whatever the kernel does with them.
 Callers look kernels up as ``_kernels.<name>`` at call time, so a profiler
 can swap in a wrapper by patching the module attribute.
+
+Positions stay (..., n, 2), but the kernels compute on the x and y planes,
+``[..., 0]`` and ``[..., 1]``: a loop along the 2-long axis would pay numpy's
+loop overhead on every second element. Sums run sequentially along a plane.
 """
 
 from __future__ import annotations
@@ -32,17 +36,22 @@ def bridge_paths(start, end, duration, sigma_m, times, noise):
     form of X_t = (T - t) * integral_0^t dW_s / (T - s) (Glasserman,
     *Monte Carlo Methods in Financial Engineering*, 2004, section 3.1).
     One cumulative sum over the noise builds all paths. ``noise`` is read,
-    never written.
+    never written; positions that overflow come out inf or NaN.
     """
     start = np.asarray(start, dtype=float)[..., None, :]
     end = np.asarray(end, dtype=float)[..., None, :]
     dt = np.diff(times, prepend=0.0)
     rest = duration - times
     sd = np.asarray(sigma_m, dtype=float)[..., None] * np.sqrt(dt * rest / (rest + dt))
-    out = noise * (sd / rest)[..., None]
-    np.cumsum(out, axis=-2, out=out)
-    out *= rest[:, None]
-    out += start + (times / duration)[:, None] * (end - start)
+    scale, frac = sd / rest, times / duration
+    out = np.empty(noise.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(2):
+            plane = out[..., i]
+            np.multiply(noise[..., i], scale, out=plane)
+            np.cumsum(plane, axis=-1, out=plane)
+            plane *= rest
+            plane += start[..., i] + frac * (end[..., i] - start[..., i])
     return out
 
 

@@ -60,14 +60,16 @@ def _stats(times: np.ndarray, coords: np.ndarray) -> tuple[int, int, float, np.n
     n_pairs = (len(times) - 1) // 2
     left, mid, right = (np.s_[i:i + 2 * n_pairs:2] for i in range(3))
     t0, t1, t2 = times[left], times[mid], times[right]
-    z0, z1, z2 = coords[:, left], coords[:, mid], coords[:, right]
     # Far-apart finite points can overflow; estimate_sigma rejects that fit.
     with np.errstate(over="ignore", invalid="ignore"):
         spans = t2 - t0
         taus = t1 - t0
         weights = taus * (spans - taus) / spans
-        expect = z0 + (taus / spans)[:, None] * (z2 - z0)
-        dev_sq = ((z1 - expect) ** 2).sum(axis=2)
+        frac = taus / spans
+        # Per coordinate plane, so no loop runs along the 2-long axis.
+        ddx, ddy = (z[:, mid] - (z[:, left] + frac * (z[:, right] - z[:, left]))
+                    for z in (coords[..., 0], coords[..., 1]))
+        dev_sq = ddx ** 2 + ddy ** 2
         keep = weights > VARIANCE_WEIGHT_FLOOR
         n_kept = int(keep.sum())
         if n_kept == 0:

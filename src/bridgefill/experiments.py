@@ -205,7 +205,9 @@ def _ratios(estimated: np.ndarray, true: np.ndarray) -> np.ndarray:
     """``estimated / true``; 1 where both are 0 and inf where only ``true``
     is."""
     out = np.where(estimated == 0.0, 1.0, math.inf)
-    np.divide(estimated, true, out=out, where=true > 0.0)
+    # Overflowing paths give inf / inf; the summary drops the NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.divide(estimated, true, out=out, where=true > 0.0)
     return out
 
 

@@ -97,14 +97,22 @@ def estimate_gap_rog(
     if realisations < 1:
         raise DomainError(f"realisations must be >= 1, got {realisations}")
     fills = _bridges(gapped, sigma_m, realisations, rng)
-    centre = gapped.observed.coords.mean(axis=0)
-    observed = gapped.observed.coords - centre
-    fills -= centre
-    n_total = len(observed) + gapped.n_missing
+    coords = gapped.observed.coords
+    observed = np.empty_like(coords)
+    n_total = len(coords) + gapped.n_missing
     with np.errstate(over="ignore", invalid="ignore"):
+        # A cumulative sum's last entry sums the points in numpy's sequential
+        # order; centring runs per coordinate plane.
+        for i in range(2):
+            centre = np.cumsum(coords[:, i])[-1] / len(coords)
+            np.subtract(coords[:, i], centre, out=observed[:, i])
+            fills[..., i] -= centre
         sum_sq = (observed ** 2).sum() + (fills ** 2).sum(axis=(1, 2))
-        mean_offset = (observed.sum(axis=0) + fills.sum(axis=1)) / n_total
-        rogs = np.sqrt(sum_sq / n_total - (mean_offset ** 2).sum(axis=1))
+        # In place: neither array is read again.
+        np.cumsum(observed, axis=0, out=observed)
+        np.cumsum(fills, axis=1, out=fills)
+        offset = (observed[-1] + (fills[:, -1] if gapped.n_missing else 0.0)) / n_total
+        rogs = np.sqrt(sum_sq / n_total - (offset[..., 0] ** 2 + offset[..., 1] ** 2))
         mean = math.fsum(rogs) / realisations
         squares = (rogs - mean) ** 2
     if realisations == 1:

@@ -138,17 +138,13 @@ ModelSpec = Union[_SPECS]
 MODEL_NAMES = tuple(cls.model for cls in _SPECS)
 
 
-def _walk(step_xy: np.ndarray) -> np.ndarray:
-    """Positions (m, steps + 1, 2) from the origin along ``step_xy``
-    (m, steps, 2)."""
-    m, steps, _ = step_xy.shape
-    coords = np.zeros((m, steps + 1, 2))
-    np.cumsum(step_xy, axis=1, out=coords[:, 1:])
-    return coords
-
-
 def _heading_walk(v: float, theta: np.ndarray) -> np.ndarray:
-    return _walk(v * np.stack([np.cos(theta), np.sin(theta)], axis=-1))
+    """Positions (m, steps + 1, 2) from the origin along steps of length
+    ``v`` at the headings ``theta`` (m, steps), one plane at a time."""
+    coords = np.zeros((len(theta), theta.shape[1] + 1, 2))
+    np.cumsum(v * np.cos(theta), axis=1, out=coords[:, 1:, 0])
+    np.cumsum(v * np.sin(theta), axis=1, out=coords[:, 1:, 1])
+    return coords
 
 
 def _stack(draws) -> list[np.ndarray]:
@@ -179,12 +175,15 @@ def generate_many(
 
     if isinstance(spec, DiscreteBrownian):
         incr = spec.sigma * np.array([rng.standard_normal((steps, 2)) for rng in rngs])
-        walk = _walk(incr)
+        walk = np.zeros((len(rngs), steps + 1, 2))
+        np.cumsum(incr, axis=1, out=walk[:, 1:])
         if spec.target_x is None:
             return walk
-        frac = (np.arange(steps + 1, dtype=float) / steps)[:, None]
-        target = np.array([spec.target_x, spec.target_y], dtype=float)
-        return frac * target + (walk - frac * walk[:, -1:])
+        frac = np.arange(steps + 1, dtype=float) / steps
+        for i, target in enumerate((spec.target_x, spec.target_y)):
+            plane = walk[..., i]
+            plane[...] = frac * target + (plane - frac * plane[:, -1:])
+        return walk
 
     if isinstance(spec, FixedVelocity):
         theta = np.array([rng.uniform(0.0, _TWO_PI, steps) for rng in rngs])

@@ -12,7 +12,10 @@ triple over point objects (the package reduces whole arrays), the
 internal-state walker steps through its state machine one draw at a time
 (the package solves it in closed form), and experiment records are built
 one replicate at a time, each path generated, filled and scored on its own
-(the package runs each cell as arrays).
+(the package runs each cell as arrays). The ``*_interleaved`` references
+are the package's earlier (..., n, 2) formulas, which reduce over and
+broadcast against the 2-long coordinate axis; the plane-wise kernels must
+equal them bit for bit.
 """
 
 import math
@@ -24,7 +27,7 @@ import numpy as np
 from scipy import integrate
 
 from bridgefill.errors import DomainError, TooFewPointsError
-from bridgefill.estimator import VARIANCE_WEIGHT_FLOOR, estimate_sigma
+from bridgefill.estimator import SIGMA_FLOOR, VARIANCE_WEIGHT_FLOOR, estimate_sigma
 from bridgefill.experiments import METHODS
 from bridgefill.gapfill import estimate_gap_length, fill_gap
 from bridgefill.generators import generate, spec_to_dict
@@ -134,6 +137,59 @@ def bridge_paths_sequential(start, end, duration, sigma_m, times, noise):
         out[:, j] = p
         t_prev = times[j]
     return out
+
+
+def bridge_paths_interleaved(start, end, duration, sigma_m, times, noise):
+    """``_kernels.bridge_paths`` computed on the (..., k, 2) layout."""
+    start = np.asarray(start, dtype=float)[..., None, :]
+    end = np.asarray(end, dtype=float)[..., None, :]
+    dt = np.diff(times, prepend=0.0)
+    rest = duration - times
+    sd = np.asarray(sigma_m, dtype=float)[..., None] * np.sqrt(dt * rest / (rest + dt))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = noise * (sd / rest)[..., None]
+        np.cumsum(out, axis=-2, out=out)
+        out *= rest[:, None]
+        out += start + (times / duration)[:, None] * (end - start)
+    return out
+
+
+def radii_of_gyration_interleaved(coords):
+    """``metrics.radii_of_gyration`` computed on the (..., n, 2) layout."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        centred = coords - coords.mean(axis=-2, keepdims=True)
+        return np.sqrt((centred ** 2).sum(axis=-1).mean(axis=-1))
+
+
+def estimate_sigmas_interleaved(times, coords):
+    """``estimator.estimate_sigmas`` with each triple's chord point and
+    squared deviation computed on the (m, n, 2) layout."""
+    n_pairs = (len(times) - 1) // 2
+    left, mid, right = (np.s_[i:i + 2 * n_pairs:2] for i in range(3))
+    z0, z1, z2 = coords[:, left], coords[:, mid], coords[:, right]
+    with np.errstate(over="ignore", invalid="ignore"):
+        spans = times[right] - times[left]
+        taus = times[mid] - times[left]
+        weights = taus * (spans - taus) / spans
+        expect = z0 + (taus / spans)[:, None] * (z2 - z0)
+        dev_sq = ((z1 - expect) ** 2).sum(axis=2)
+        keep = weights > VARIANCE_WEIGHT_FLOOR
+        quad = np.ascontiguousarray(dev_sq[:, keep] / weights[keep]).sum(axis=1)
+        return np.maximum(np.sqrt(quad / (2.0 * int(keep.sum()))), SIGMA_FLOOR)
+
+
+def gap_rogs_interleaved(observed, fills):
+    """RoG of the observed points (n, 2) spliced with each fill of
+    ``fills`` (m, k, 2), from running sums about the observed centroid, as
+    ``gapfill.estimate_gap_rog`` computes them, on the (..., 2) layout."""
+    centre = observed.mean(axis=0)
+    observed = observed - centre
+    fills = fills - centre
+    n_total = len(observed) + fills.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        sum_sq = (observed ** 2).sum() + (fills ** 2).sum(axis=(1, 2))
+        mean_offset = (observed.sum(axis=0) + fills.sum(axis=1)) / n_total
+        return np.sqrt(sum_sq / n_total - (mean_offset ** 2).sum(axis=1))
 
 
 def bridge_marginal(start, end, duration: float, sigma_m: float,

@@ -14,6 +14,7 @@ from .oracles import (
     DegenerateDataError,
     Point,
     closed_form_sigma,
+    estimate_sigmas_interleaved,
     extract_triples,
     log_likelihood,
 )
@@ -239,17 +240,24 @@ class TestEstimateSigmas:
     @pytest.mark.parametrize("n", [5, 6, 101, 500])
     def test_rows_equal_single_estimates(self, n):
         # Uneven times with one near-degenerate triple, paths from 1e-9 to
-        # 1e4 in scale, one on its chords (clamped to the floor).
+        # 1e4 in scale, one on its chords (clamped to the floor), and the
+        # others again 1e6 from the origin.
         rng = np.random.default_rng(n)
         times = np.cumsum(rng.uniform(0.5, 2.0, n))
         times[1] = times[0] + 1e-13
         scales = np.logspace(-9, 4, 40)[:, None, None]
         coords = scales * rng.standard_normal((40, n, 2)).cumsum(axis=1)
         coords[0] = np.column_stack([times, times])
+        coords = np.concatenate([coords, coords[1:] + 1e6])
         got = estimate_sigmas(times, coords)
         for row, sigma in zip(coords, got):
             assert sigma == estimate_sigma(Trajectory(times, row)).sigma_m
         assert got[0] == SIGMA_FLOOR
+        # the (m, n, 2) layout's formula, bit for bit, with one row holding inf
+        assert np.array_equal(got, estimate_sigmas_interleaved(times, coords))
+        coords[3, n // 2, 1] = math.inf
+        assert np.array_equal(estimate_sigmas(times, coords),
+                              estimate_sigmas_interleaved(times, coords), equal_nan=True)
 
     def test_no_usable_triple(self):
         with pytest.raises(TooFewPointsError):

@@ -9,7 +9,7 @@ from bridgefill.metrics import radii_of_gyration
 from bridgefill.seeding import make_rng
 from bridgefill.trajectory import Trajectory, excise_gap
 
-from .oracles import bridge_paths_sequential, loop_gap
+from .oracles import bridge_paths_sequential, gap_rogs_interleaved, loop_gap
 
 
 def _gapped(count, offset=(100.0, -50.0)):
@@ -72,6 +72,22 @@ class TestEstimateGapRog:
         assert est.std_error <= 1e-15 * est.mean
         assert est.realisations == 1000
         assert rng.random() == np.random.default_rng(5).random()
+
+    @pytest.mark.parametrize("offset", [(100.0, -50.0), (1e6, 1e6)])
+    def test_equals_interleaved_reference(self, offset):
+        # Bit for bit the running sums of the (..., 2) layout over the same
+        # fills, redrawn from the same seed.
+        gapped = _gapped(25, offset)
+        est = estimate_gap_rog(gapped, 1.3, 200, 7)
+        observed, left = gapped.observed, gapped.split - 1
+        noise = np.random.default_rng(7).standard_normal((200, 25, 2))
+        fills = _kernels.bridge_paths(observed.coords[left], observed.coords[left + 1],
+                                      gapped.duration, 1.3,
+                                      gapped.missing_times - observed.times[left], noise)
+        rogs = gap_rogs_interleaved(observed.coords, fills)
+        mean = math.fsum(rogs) / 200
+        assert est.mean == mean
+        assert est.std_error == math.sqrt(math.fsum((rogs - mean) ** 2) / 199 / 200)
 
     def test_translation_invariant(self):
         near = estimate_gap_rog(_gapped(25), 1.3, 200, 7)

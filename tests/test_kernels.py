@@ -9,7 +9,7 @@ import pytest
 import bridgefill
 from bridgefill import _kernels
 
-from .oracles import bridge_paths_sequential
+from .oracles import bridge_paths_interleaved, bridge_paths_sequential
 
 SRC = str(Path(bridgefill.__file__).resolve().parents[1])
 
@@ -34,6 +34,24 @@ class TestBridgePaths:
         scale = np.abs(expected).max()
         assert np.abs(got - expected).max() <= 1e-12 * scale
 
+    @pytest.mark.parametrize("k", [1, 2, 7, 1000])
+    @pytest.mark.parametrize("batch", [(), (7,), (2, 7)])
+    def test_equals_interleaved_reference(self, batch, k):
+        # Bit for bit the (..., k, 2) layout's formula, far from the origin,
+        # with one path driven by an infinite draw.
+        rng = np.random.default_rng(k)
+        times = np.sort(rng.uniform(0.0, 10.0, k))
+        start, end = 1e6 + rng.normal(size=(*batch, 2)), 1e6 + rng.normal(size=2)
+        sigma = rng.uniform(0.0, 2.0, batch)
+        noise = rng.standard_normal((*batch, k, 2))
+        noise[(0,) * len(batch) + (k // 2, 1)] = np.inf
+        before = noise.copy()
+        got = _kernels.bridge_paths(start, end, 10.0, sigma, times, noise)
+        assert np.array_equal(noise, before)
+        assert got.shape == noise.shape
+        assert np.array_equal(
+            got, bridge_paths_interleaved(start, end, 10.0, sigma, times, noise),
+            equal_nan=True)
 
     def test_per_path_endpoints_and_sigma(self):
         # One call with a start, end and sigma per path equals one call per
