@@ -312,8 +312,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args, parser)
-    except (BridgefillError, OSError) as exc:
-        print(f"bridgefill: error: {exc}", file=sys.stderr)
+    except (BridgefillError, OSError, MemoryError) as exc:
+        print(f"bridgefill: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return DATA_ERROR
 
 

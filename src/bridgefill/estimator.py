@@ -66,10 +66,12 @@ def _stats(times: np.ndarray, coords: np.ndarray) -> tuple[int, int, float, np.n
         taus = t1 - t0
         weights = taus * (spans - taus) / spans
         frac = taus / spans
-        # Per coordinate plane, so no loop runs along the 2-long axis.
-        ddx, ddy = (z[:, mid] - (z[:, left] + frac * (z[:, right] - z[:, left]))
-                    for z in (coords[..., 0], coords[..., 1]))
-        dev_sq = ddx ** 2 + ddy ** 2
+        # Per coordinate plane, so no loop runs along the 2-long axis, and
+        # x then y, so one plane's deviations are alive at a time.
+        dev_sq = 0.0
+        for z in (coords[..., 0], coords[..., 1]):
+            dev_sq = dev_sq + (
+                z[:, mid] - (z[:, left] + frac * (z[:, right] - z[:, left]))) ** 2
         keep = weights > VARIANCE_WEIGHT_FLOOR
         n_kept = int(keep.sum())
         if n_kept == 0:

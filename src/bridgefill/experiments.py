@@ -19,15 +19,18 @@ Two experiment kinds are built in:
   a loop; the reference summary statistics correspond to this anchoring.
   Models: fixed-velocity v=1, angular-walk sigma=0.1, run-tumble l=1.
 
-Each (model, replicates) cell runs as arrays, one row per replicate, in
-blocks that bound memory: one generator call builds the block's paths,
-excision is slicing at fixed indices, and one estimator call fits every
-row. A cell's result is one table of (2, replicates) record columns, the
-fill method on axis 0 in ``METHODS`` order; for ``rog`` one kernel call
-builds both fills of every replicate along that axis (the straight line
-being the bridge with sigma 0). Records, CSV and summary all read that
-table. Every value equals what the single-path functions give for that
-replicate, bit for bit.
+A run is one table with a row per (cell, replicate), in record order: row
+``c * replicates + r`` is replicate r of cell c. Every cell shares the
+steps and the gap, so the table runs in blocks of rows that bound memory
+and may span cells. In a block, each cell's rows get one generator call of
+their cell's model; after that, excision is slicing at fixed indices and
+every stage makes one call over all rows: one estimator fit, then either
+the path lengths and chords or, for ``rog``, one kernel call that builds
+both fills of every row (the straight line being the bridge with sigma 0).
+The result is one set of (2, rows) record columns, the fill method on axis
+0 in ``METHODS`` order. Records and CSV read the whole table; each summary
+cell reads its cell's slice of it. Every value equals what the single-path
+functions give for that replicate, bit for bit.
 
 Every replicate still has its own streams: the key ``(cell_index,
 replicate, purpose)`` has the child seed ``SeedSequence((master,
@@ -38,7 +41,7 @@ Purpose 0 generates the path; only ``rog`` derives purpose 1, for its
 bridge fill. One ``seeding.child_states`` pass per run derives the seeds
 and PCG64 states of every key of the run, and each block starts its
 Generators from its slice of them. Reports are byte-identical across reruns
-and independent of how replicates are blocked. Summaries embed the seed,
+and independent of how rows are blocked. Summaries embed the seed,
 the model grid, and the package version. Each summary cell's statistics
 cover the finite values only, and ``count`` says how many there were: a
 path-length replicate whose true gap length is 0 keeps its ``inf`` ratio in
@@ -83,8 +86,8 @@ METHODS = ("bridge", "linear")
 
 DEFAULT_MASTER_SEED = 20260301
 
-# Path points held per block of replicates: a rog block of about 130
-# 1000-point replicates keeps its largest arrays near 4 MB each.
+# Path points held per block of run-table rows: a rog block of about 130
+# 1000-point rows keeps its largest arrays near 4 MB each.
 _BLOCK_POINTS = 1 << 17
 
 _RECORD_COLUMNS = {
@@ -122,6 +125,8 @@ class ExperimentConfig:
         if self.master_seed < 0:
             raise InvalidSpecError(
                 f"master_seed must be >= 0, got {self.master_seed}")
+        if self.gap_count < 0:
+            raise InvalidSpecError(f"gap_count must be >= 0, got {self.gap_count}")
         if self.gap_start < 1 or self.gap_start + self.gap_count > self.steps:
             raise InvalidSpecError(
                 "gap must keep both anchors: need 1 <= gap_start and "
@@ -211,15 +216,21 @@ def _ratios(estimated: np.ndarray, true: np.ndarray) -> np.ndarray:
     return out
 
 
-def _run_block(config: ExperimentConfig, spec: ModelSpec, seeds: np.ndarray,
-               words: np.ndarray) -> dict[str, np.ndarray]:
-    """One block of a cell's replicates: the record columns from ``seed``
-    on, ``method`` aside, each (2, m) with one row per method in
-    ``METHODS`` order and one column per replicate.
-
-    ``seeds`` (m, purposes) and ``words`` (m, purposes, 4) hold each
-    replicate's child seeds and PCG64 seed words by purpose."""
-    coords = generate_many(spec, config.steps, rngs_from_words(words[:, 0]))
+def _run_block(config: ExperimentConfig, seeds: np.ndarray, words: np.ndarray,
+               lo: int, hi: int) -> dict[str, np.ndarray]:
+    """Rows ``lo:hi`` of the run table, which may span cells: the record
+    columns from ``seed`` on, ``method`` aside, each (2, hi - lo) with one
+    row per method in ``METHODS`` order. ``seeds`` (rows, purposes) and
+    ``words`` (rows, purposes, 4) hold every row's child seeds and PCG64
+    seed words by purpose."""
+    # A cell starts at every multiple of ``replicates``.
+    reps = config.replicates
+    cuts = [lo, *range((lo // reps + 1) * reps, hi, reps), hi]
+    coords = np.concatenate([
+        generate_many(config.models[a // reps], config.steps,
+                      rngs_from_words(words[a:b, 0]))
+        for a, b in zip(cuts, cuts[1:])
+    ])
     times = np.arange(config.steps + 1, dtype=float)
     left, right = config.gap_start - 1, config.gap_start + config.gap_count
     sigma = estimate_sigmas(
@@ -227,7 +238,7 @@ def _run_block(config: ExperimentConfig, spec: ModelSpec, seeds: np.ndarray,
         np.concatenate([coords[:, :left + 1], coords[:, right:]], axis=1),
     )
     duration = times[right] - times[left]
-    seed = seeds[:, 0]
+    seed = seeds[lo:hi, 0]
     shared = {"seed": np.array([seed, seed]), "sigma_hat": np.array([sigma, sigma])}
 
     if config.kind == PATH_LENGTH_KIND:
@@ -245,9 +256,9 @@ def _run_block(config: ExperimentConfig, spec: ModelSpec, seeds: np.ndarray,
     # Both fills of every replicate in one kernel call, along a method axis:
     # a bridge draws from its replicate's own fill stream, and the straight
     # line is the bridge with sigma 0.
-    m, k = len(seeds), config.gap_count
+    m, k = hi - lo, config.gap_count
     noise = np.zeros((2, m, k, 2))
-    for i, rng in enumerate(rngs_from_words(words[:, 1])):
+    for i, rng in enumerate(rngs_from_words(words[lo:hi, 1])):
         rng.standard_normal(out=noise[0, i])
     filled = np.array([coords, coords])
     filled[:, :, left + 1:right] = _kernels.bridge_paths(
@@ -258,19 +269,6 @@ def _run_block(config: ExperimentConfig, spec: ModelSpec, seeds: np.ndarray,
     rog_after = radii_of_gyration(filled)
     return {**shared, "rog_before": np.array([rog_before, rog_before]),
             "rog_after": rog_after, "rog_error": _ratios(rog_after, rog_before)}
-
-
-def _run_cell(config: ExperimentConfig, spec: ModelSpec, seeds: np.ndarray,
-              words: np.ndarray) -> dict[str, np.ndarray]:
-    """All replicates of one cell as (2, replicates) columns, in blocks of
-    about ``_BLOCK_POINTS`` path points, so memory stays bounded however
-    many replicates run."""
-    block = max(1, _BLOCK_POINTS // (config.steps + 1))
-    parts = [
-        _run_block(config, spec, seeds[lo:lo + block], words[lo:lo + block])
-        for lo in range(0, config.replicates, block)
-    ]
-    return {name: np.concatenate([p[name] for p in parts], axis=1) for name in parts[0]}
 
 
 def _quartiles(values: np.ndarray) -> list[float]:
@@ -345,34 +343,36 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     purposes = 2 if config.kind == ROG_KIND else 1
     shape = (len(config.models), config.replicates, purposes)
     seeds, words = child_states(config.master_seed, np.indices(shape).reshape(3, -1).T)
-    seeds, words = seeds.reshape(shape), words.reshape(*shape, -1)
+    rows, reps = shape[0] * shape[1], config.replicates
+    seeds, words = seeds.reshape(rows, purposes), words.reshape(rows, purposes, -1)
+    block = max(1, _BLOCK_POINTS // (config.steps + 1))
+    parts = [_run_block(config, seeds, words, lo, min(lo + block, rows))
+             for lo in range(0, rows, block)]
+    columns = {name: np.concatenate([p[name] for p in parts], axis=1)
+               for name in parts[0]}
+    models = [spec_to_dict(spec)["model"] for spec in config.models]
+    params = [_params_label(spec) for spec in config.models]
     names = _RECORD_COLUMNS[config.kind]
-    reps = config.replicates
-    records: list[dict] = []
-    cells = []
-    for spec, cell_seeds, cell_words in zip(config.models, seeds, words):
-        columns = _run_cell(config, spec, cell_seeds, cell_words)
-        values = {
-            "model": [spec_to_dict(spec)["model"]] * (2 * reps),
-            "params": [_params_label(spec)] * (2 * reps),
-            "replicate": np.arange(reps).repeat(2).tolist(),
-            "method": METHODS * reps,
-            **{name: col.T.ravel().tolist() for name, col in columns.items()},
-        }
-        records.extend(dict(zip(names, row)) for row in zip(*map(values.get, names)))
-        cells.extend(
-            _summarise_cell(config.kind, spec, method,
-                            {name: col[j] for name, col in columns.items()})
-            for j, method in enumerate(METHODS))
+    values = {
+        "model": np.repeat(models, 2 * reps).tolist(),
+        "params": np.repeat(params, 2 * reps).tolist(),
+        "replicate": (np.arange(2 * rows) // 2 % reps).tolist(),
+        "method": METHODS * rows,
+        **{name: col.T.ravel().tolist() for name, col in columns.items()},
+    }
+    records = tuple(dict(zip(names, row)) for row in zip(*map(values.get, names)))
+    cells = [
+        _summarise_cell(config.kind, spec, method, {
+            name: col[j, c * reps:(c + 1) * reps] for name, col in columns.items()})
+        for c, spec in enumerate(config.models) for j, method in enumerate(METHODS)
+    ]
     summary = {
         "kind": config.kind,
         "config": config_to_dict(config),
         "version": __version__,
         "cells": cells,
     }
-    return ExperimentReport(
-        config=config, records=tuple(records), summary=summary
-    )
+    return ExperimentReport(config=config, records=records, summary=summary)
 
 
 def write_records_csv(report: ExperimentReport, path: str | Path) -> None:

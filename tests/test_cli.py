@@ -296,14 +296,30 @@ class TestExperiment:
         {"models": None},
         {"master_seed": -1},
         {"kind": "path-length", "fill_anchors": "loop"},
+        {"gap_count": -5},
     ], ids=["replicates-string", "steps-fraction", "model-not-mapping",
-            "models-null", "master-seed-negative", "path-length-loop-anchors"])
+            "models-null", "master-seed-negative", "path-length-loop-anchors",
+            "gap-count-negative"])
     def test_bad_config_is_data_error(self, tmp_path, capsys, field):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"kind": "rog", "replicates": 1, **field}))
         assert main(["experiment", "--config", str(config),
                      "--out", str(tmp_path / "out")]) == 3
         assert "bridgefill: error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("message, shown", [
+        ("Unable to allocate 576. GiB for an array", "Unable to allocate 576. GiB"),
+        ("", "out of memory"),
+    ], ids=["numpy-message", "bare"])
+    def test_out_of_memory_is_data_error(self, tmp_path, capsys, monkeypatch,
+                                         message, shown):
+        # A run too large to allocate, without allocating it.
+        def run_experiment(config):
+            raise MemoryError(message)
+        monkeypatch.setattr(cli, "run_experiment", run_experiment)
+        assert main(["experiment", "--kind", "rog", "--replicates", "1",
+                     "--out", str(tmp_path / "out")]) == 3
+        assert f"bridgefill: error: {shown}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", [
         b'{"kind": "rog", "replicates": ' + b"9" * 5000 + b"}",

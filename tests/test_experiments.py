@@ -57,6 +57,12 @@ def test_replicates_beyond_the_seeding_keys_rejected():
         dataclasses.replace(config, replicates=2 ** 32 + 1)
 
 
+@pytest.mark.parametrize("kind", ["path-length", "rog"])
+def test_negative_gap_count_rejected(kind):
+    with pytest.raises(InvalidSpecError, match="gap_count must be >= 0"):
+        dataclasses.replace(default_config(kind), gap_count=-1)
+
+
 def _linear_rog_after(config, cell, rep):
     # Regenerate the replicate's path and replace its gap by points on the
     # straight line from the final observed point to the right anchor.
@@ -117,7 +123,8 @@ def test_summary_statistics_skip_non_finite_values():
     assert cell["quartiles"] == [2.5, 3.0, 3.5]
 
 
-# sha256 of the reports at the default master seed, 3 replicates.
+# sha256 of the reports at the default master seed, at 3 replicates and at
+# the default 1000, whose blocks of rows span cells.
 GOLDEN = {
     "path-length": (
         default_config("path-length", replicates=3),
@@ -128,6 +135,16 @@ GOLDEN = {
         default_config("rog", replicates=3),
         "89675a3b1d2b67dfdd99e1d7b78ebeea7aa6591255a027973add875f6aaa3eb8",
         "1b331038ad4466e8367470fab46ff984474df710156787e13dd584be7695b733",
+    ),
+    "path-length-default": (
+        default_config("path-length"),
+        "51f48bd221e1d8aa3c771000e20941e81f16b6c8043855b7d5e8c454ea0bc3d7",
+        "ad3c1173cb340bbc2a981f5cbcfa0055cb7a5fe38444355322ebc063c8882b2b",
+    ),
+    "rog-loop-default": (
+        default_config("rog"),
+        "35676dc9e23635a40e1f2b1d5fc1d0f38d4a6fd8c78a070e99209abc4336a565",
+        "27eefc1f5318e0d39183f02384618419a7c53b44b7ebb417bdae8d4ec1ecf31b",
     ),
 }
 
@@ -201,13 +218,19 @@ def test_too_few_observed_points_raise():
         run_experiment(_small("rog", steps=2, gap_start=1, gap_count=1))
 
 
-def test_replicate_blocks_do_not_change_reports(monkeypatch):
-    # Blocks of 2 replicates, the last one short, against one block.
-    config = _small("rog", replicates=5, steps=99, gap_start=1, gap_count=49)
+@pytest.mark.parametrize("rows", [1, 2, 5])
+@pytest.mark.parametrize("config", [
+    _small("path-length", models=default_config("path-length").models[2:6]),
+    _small("rog", replicates=5, steps=99, gap_start=1, gap_count=49),
+], ids=["path-length", "rog"])
+def test_replicate_blocks_do_not_change_reports(monkeypatch, config, rows):
+    # Blocks of 1, 2 or 5 rows against one block. With 3- or 5-replicate
+    # cells, a block can end inside a cell and hold the tail of one cell and
+    # the head of the next.
     whole = run_experiment(config)
-    monkeypatch.setattr(experiments, "_BLOCK_POINTS", 2 * (config.steps + 1))
+    monkeypatch.setattr(experiments, "_BLOCK_POINTS", rows * (config.steps + 1))
     blocked = run_experiment(config)
-    assert blocked.records == whole.records
+    assert list(blocked.records) == experiment_records(config)
     assert blocked.summary == whole.summary
 
 
