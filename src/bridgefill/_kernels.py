@@ -92,7 +92,8 @@ def internal_state_positions(heading0, step, c_keep, c_left, c_right,
     moving walker keeps its heading below ``c_keep``, turns left below
     ``c_left``, right below ``c_right``, reverses below ``c_reverse`` and
     stops otherwise; a stationary one stays below ``c_remain`` and otherwise
-    starts moving in the new heading ``int(4 * dir_u)``.
+    starts moving in the new heading ``int(4 * dir_u)``. ``step`` and the
+    thresholds are scalars or one per walk, as (m, 1) columns.
 
     Without a loop: each step maps the state (moving or not) by identity,
     swap or reset, so the state is the latest reset's value flipped by the

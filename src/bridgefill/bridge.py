@@ -119,7 +119,7 @@ def expected_path_length(
     if not (math.isfinite(duration) and duration > 0.0):
         raise DomainError(f"duration must be > 0, got {duration!r}")
     if not (math.isfinite(sigma_m) and sigma_m >= 0.0):
-        raise DomainError(f"sigma_m must be >= 0, got {sigma_m!r}")
+        raise DomainError(f"sigma_m must be finite and >= 0, got {sigma_m!r}")
     dx, dy = map(float, displacement)
     if not (math.isfinite(dx) and math.isfinite(dy)):
         raise DomainError("displacement must be finite")

@@ -21,15 +21,15 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .errors import BridgefillError, InvalidSpecError, NonFiniteError
+from .errors import BridgefillError, InvalidSpecError
 from .estimator import estimate_sigma
 from .experiments import (
     KINDS,
     METHODS,
+    _json_text,
     config_from_dict,
     run_experiment,
     write_records_csv,
-    write_summary_json,
 )
 from .gapfill import (
     DEFAULT_ROG_REALISATIONS,
@@ -109,10 +109,8 @@ def _detect_gap(traj: Trajectory) -> GappedTrajectory:
 
 
 def _gapped_from_args(traj: Trajectory, args) -> GappedTrajectory:
-    if args.gap_start is None and args.gap_count is None:
+    if args.gap_start is None:
         return _detect_gap(traj)
-    if args.gap_start is None or args.gap_count is None:
-        raise BridgefillError("--gap-start and --gap-count must be given together")
     return excise_gap(traj, args.gap_start, args.gap_count)
 
 
@@ -128,15 +126,6 @@ def _cmd_gap(args, parser) -> int:
     gapped = excise_gap(traj, args.gap_start, args.gap_count)
     write_trajectory_csv(args.out, gapped.observed)
     return 0
-
-
-def _json_text(obj: dict) -> str:
-    """``obj`` as strict JSON; raises NonFiniteError on a NaN or infinity,
-    which JSON cannot hold."""
-    try:
-        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        raise NonFiniteError(f"a result is not finite: {exc}") from None
 
 
 def _cmd_estimate(args, parser) -> int:
@@ -169,6 +158,8 @@ def _cmd_fill(args, parser) -> int:
         math.isfinite(args.sigma) and args.sigma >= 0.0
     ):
         parser.error(f"--sigma must be finite and >= 0, got {args.sigma!r}")
+    if (args.gap_start is None) != (args.gap_count is None):
+        parser.error("--gap-start and --gap-count must be given together")
     traj = read_trajectory_csv(args.infile)
     gapped = _gapped_from_args(traj, args)
     summary: dict = {
@@ -226,13 +217,15 @@ def _cmd_experiment(args, parser) -> int:
     data.update((k, v) for k, v in overrides.items() if v is not None)
     config = config_from_dict(data)
     report = run_experiment(config)
+    # Serialised before any file is opened, so a non-finite result writes none.
+    summary = _json_text(report.summary)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = config.kind.replace("-", "_")
     records_path = out_dir / f"{stem}_records.csv"
     summary_path = out_dir / f"{stem}_summary.json"
     write_records_csv(report, records_path)
-    write_summary_json(report, summary_path)
+    summary_path.write_text(summary + "\n", encoding="utf-8")
     print(_json_text({
         "records": str(records_path),
         "summary": str(summary_path),

@@ -22,11 +22,12 @@ Two experiment kinds are built in:
 A run is one table with a row per (cell, replicate), in record order: row
 ``c * replicates + r`` is replicate r of cell c. Every cell shares the
 steps and the gap, so the table runs in blocks of rows that bound memory
-and may span cells. In a block, each cell's rows get one generator call of
-their cell's model; after that, excision is slicing at fixed indices and
-every stage makes one call over all rows: one estimator fit, then either
-the path lengths and chords or, for ``rog``, one kernel call that builds
-both fills of every row (the straight line being the bridge with sigma 0).
+and may span cells. Every stage makes one call over a block's rows: one
+``generate_many`` call with each row's model spec (``generators`` groups
+the rows by model), excision by slicing at fixed indices, one estimator
+fit, then either the path lengths and chords or, for ``rog``, one kernel
+call that builds both fills of every row (the straight line being the
+bridge with sigma 0).
 The result is one set of (2, rows) record columns, the fill method on axis
 0 in ``METHODS`` order. Records and CSV read the whole table; each summary
 cell reads its cell's slice of it. Every value equals what the single-path
@@ -61,7 +62,7 @@ import numpy as np
 from . import _kernels
 from ._version import __version__
 from .bridge import expected_path_length
-from .errors import InvalidSpecError
+from .errors import InvalidSpecError, NonFiniteError
 from .estimator import estimate_sigmas
 from .generators import (
     AngularWalk,
@@ -223,14 +224,8 @@ def _run_block(config: ExperimentConfig, seeds: np.ndarray, words: np.ndarray,
     row per method in ``METHODS`` order. ``seeds`` (rows, purposes) and
     ``words`` (rows, purposes, 4) hold every row's child seeds and PCG64
     seed words by purpose."""
-    # A cell starts at every multiple of ``replicates``.
-    reps = config.replicates
-    cuts = [lo, *range((lo // reps + 1) * reps, hi, reps), hi]
-    coords = np.concatenate([
-        generate_many(config.models[a // reps], config.steps,
-                      rngs_from_words(words[a:b, 0]))
-        for a, b in zip(cuts, cuts[1:])
-    ])
+    specs = [config.models[r // config.replicates] for r in range(lo, hi)]
+    coords = generate_many(specs, config.steps, rngs_from_words(words[lo:hi, 0]))
     times = np.arange(config.steps + 1, dtype=float)
     left, right = config.gap_start - 1, config.gap_start + config.gap_count
     sigma = estimate_sigmas(
@@ -294,13 +289,13 @@ def _statistics(values: np.ndarray) -> dict:
         return dict.fromkeys(("mean_error", "std_dev", "quartiles", "outliers"))
     q1, q2, q3 = _quartiles(values)
     iqr = q3 - q1
-    mean = math.fsum(values) / len(values)
-    if len(values) > 1:
-        std = math.sqrt(
-            math.fsum((v - mean) ** 2 for v in values) / (len(values) - 1)
-        )
-    else:
-        std = 0.0
+    try:
+        mean = math.fsum(values) / len(values)
+        with np.errstate(over="ignore"):  # an overflowing square makes std_dev inf
+            squares = math.fsum((v - mean) ** 2 for v in values)
+    except OverflowError:  # a sum of finite values beyond the float range
+        raise NonFiniteError("a result is not finite: a summary sum overflows") from None
+    std = math.sqrt(squares / (len(values) - 1)) if len(values) > 1 else 0.0
     return {
         "mean_error": mean,
         "std_dev": std,
@@ -384,7 +379,16 @@ def write_records_csv(report: ExperimentReport, path: str | Path) -> None:
             fh.write(",".join(str(record[c]) for c in columns) + "\n")
 
 
+def _json_text(obj: dict) -> str:
+    """``obj`` as strict JSON; raises NonFiniteError on a NaN or infinity,
+    which JSON cannot hold."""
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteError(f"a result is not finite: {exc}") from None
+
+
 def write_summary_json(report: ExperimentReport, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.summary, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    """The summary as strict JSON; raises NonFiniteError, and writes no
+    file, when a value is not finite."""
+    Path(path).write_text(_json_text(report.summary) + "\n", encoding="utf-8")

@@ -30,7 +30,7 @@ def _bridges(
     """``n`` bridges between the gap's anchors at ``gapped.missing_times``;
     shape (n, n_missing, 2)."""
     if not (math.isfinite(sigma_m) and sigma_m >= 0.0):
-        raise DomainError(f"sigma_m must be >= 0, got {sigma_m!r}")
+        raise DomainError(f"sigma_m must be finite and >= 0, got {sigma_m!r}")
     observed, left = gapped.observed, gapped.split - 1
     shifted = gapped.missing_times - observed.times[left]
     noise = make_rng(rng).standard_normal((n, gapped.n_missing, 2))

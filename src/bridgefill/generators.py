@@ -23,6 +23,11 @@ Generation is deterministic given (spec, steps, seed): each model consumes a
 PCG64 stream in a fixed documented order (initial-direction draws first,
 then per-step draws; unused pre-drawn variates are discarded rather than
 skipped so draw counts never depend on the realisation).
+
+``generate_many`` takes a spec per row, in any mix of models, and runs the
+rows of each model class as one array pass that reads every parameter as a
+per-row (m, 1) column; each value is the same arithmetic as the one-row
+case, so a row does not depend on the rows it shares a call with.
 """
 
 from __future__ import annotations
@@ -138,13 +143,13 @@ ModelSpec = Union[_SPECS]
 MODEL_NAMES = tuple(cls.model for cls in _SPECS)
 
 
-def _heading_walk(v: float, theta: np.ndarray) -> np.ndarray:
-    """Positions (m, steps + 1, 2) from the origin along steps of length
-    ``v`` at the headings ``theta`` (m, steps), one plane at a time."""
-    coords = np.zeros((len(theta), theta.shape[1] + 1, 2))
-    np.cumsum(v * np.cos(theta), axis=1, out=coords[:, 1:, 0])
-    np.cumsum(v * np.sin(theta), axis=1, out=coords[:, 1:, 1])
-    return coords
+def _heading_walk(v: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Positions (m, steps, 2) after each step of length ``v`` (m, 1) at
+    the headings ``theta`` (m, steps), one plane at a time."""
+    out = np.empty((*theta.shape, 2))
+    np.cumsum(v * np.cos(theta), axis=1, out=out[..., 0])
+    np.cumsum(v * np.sin(theta), axis=1, out=out[..., 1])
+    return out
 
 
 def _stack(draws) -> list[np.ndarray]:
@@ -152,73 +157,87 @@ def _stack(draws) -> list[np.ndarray]:
     return [np.array(field) for field in zip(*draws)]
 
 
+def _column(specs: Sequence[ModelSpec], name: str) -> np.ndarray:
+    """The parameter ``name`` of each spec, as an (m, 1) column."""
+    return np.array([getattr(spec, name) for spec in specs])[:, None]
+
+
+def _steps(model: type, specs: list, steps: int, rngs: list) -> np.ndarray:
+    """Positions (m, steps, 2) after each step of the rows ``specs``, all of
+    class ``model``, each drawing from its own stream in ``rngs``."""
+    if issubclass(model, DiscreteBrownian):
+        walk = np.cumsum(_column(specs, "sigma")[:, None] * np.array(
+            [rng.standard_normal((steps, 2)) for rng in rngs]), axis=1)
+        pinned = [i for i, spec in enumerate(specs) if spec.target_x is not None]
+        frac = np.arange(1, steps + 1, dtype=float) / steps
+        for i, name in enumerate(("target_x", "target_y")):
+            plane, target = walk[pinned, :, i], _column([specs[j] for j in pinned], name)
+            walk[pinned, :, i] = frac * target + (plane - frac * plane[:, -1:])
+        return walk
+
+    if issubclass(model, FixedVelocity):
+        theta = np.array([rng.uniform(0.0, _TWO_PI, steps) for rng in rngs])
+        return _heading_walk(_column(specs, "v"), theta)
+
+    if issubclass(model, AngularWalk):
+        theta0, noise = _stack(
+            (rng.uniform(0.0, _TWO_PI), rng.standard_normal(steps)) for rng in rngs)
+        theta = theta0[:, None] + np.cumsum(_column(specs, "sigma") * noise, axis=1)
+        return _heading_walk(_column(specs, "v"), theta)
+
+    if issubclass(model, RunTumble):
+        # math.exp per row: np.exp differs from it in the last bit on some
+        # arguments, which would move the tumble draws' threshold.
+        theta0, tumble, fresh = _stack(
+            (rng.uniform(0.0, _TWO_PI), rng.random(steps) < 1.0 - math.exp(-spec.l),
+             rng.uniform(0.0, _TWO_PI, steps)) for spec, rng in zip(specs, rngs))
+        return _heading_walk(
+            _column(specs, "v"), _kernels.run_tumble_angles(theta0, tumble, fresh))
+
+    if issubclass(model, InternalStateWalk):
+        u = _column(specs, "uniformity")
+        moving, stationary = ((1.0 - u) * p + u / len(p)
+                              for p in (_MOVING_PROBS, _STATIONARY_PROBS))
+        c = np.cumsum(moving, axis=1)
+        heading0, action_u, dir_u = _stack(
+            (int(rng.random() * 4.0), rng.random(steps), rng.random(steps))
+            for rng in rngs)
+        return _kernels.internal_state_positions(
+            heading0, _column(specs, "step"), c[:, 0:1], c[:, 1:2], c[:, 2:3],
+            c[:, 3:4], stationary[:, 0:1], action_u, dir_u,
+        )
+
+    raise InvalidSpecError(f"unknown model spec {specs[0]!r}")
+
+
 def generate_many(
-    spec: ModelSpec,
+    specs: Sequence[ModelSpec],
     steps: int,
     seeds: Sequence[int | np.random.Generator],
 ) -> np.ndarray:
-    """Simulate one path per seed (at least one); returns positions
-    (len(seeds), steps + 1, 2) at times 0..steps, each starting at the
-    origin.
+    """Simulate one path per seed (at least one), row i of model
+    ``specs[i]``; returns positions (len(seeds), steps + 1, 2) at times
+    0..steps, each starting at the origin.
 
-    Row i consumes only ``seeds[i]``'s stream, in the documented order, so
-    it equals ``generate(spec, steps, seeds[i]).coords`` bit for bit.
+    The specs may mix models. The rows of each model class run as one
+    array pass that reads every parameter as a per-row column. Row i
+    consumes only ``seeds[i]``'s stream, in the documented order, so it
+    equals ``generate(specs[i], steps, seeds[i]).coords`` bit for bit.
     """
     if not isinstance(steps, (int, np.integer)) or steps < 1:
         raise InvalidSpecError(f"steps must be an integer >= 1, got {steps!r}")
     steps = int(steps)
     if (steps + 1) * 2 * 8 > np.iinfo(np.intp).max:
         raise InvalidSpecError(f"steps={steps} is too many for one float array")
-    rngs = [make_rng(seed) for seed in seeds]
+    rngs = [make_rng(seed) for _, seed in zip(specs, seeds, strict=True)]
     if not rngs:
         raise InvalidSpecError("at least one seed is required")
-
-    if isinstance(spec, DiscreteBrownian):
-        incr = spec.sigma * np.array([rng.standard_normal((steps, 2)) for rng in rngs])
-        walk = np.zeros((len(rngs), steps + 1, 2))
-        np.cumsum(incr, axis=1, out=walk[:, 1:])
-        if spec.target_x is None:
-            return walk
-        frac = np.arange(steps + 1, dtype=float) / steps
-        for i, target in enumerate((spec.target_x, spec.target_y)):
-            plane = walk[..., i]
-            plane[...] = frac * target + (plane - frac * plane[:, -1:])
-        return walk
-
-    if isinstance(spec, FixedVelocity):
-        theta = np.array([rng.uniform(0.0, _TWO_PI, steps) for rng in rngs])
-        return _heading_walk(spec.v, theta)
-
-    if isinstance(spec, AngularWalk):
-        theta0, noise = _stack(
-            (rng.uniform(0.0, _TWO_PI), rng.standard_normal(steps)) for rng in rngs)
-        theta = theta0[:, None] + np.cumsum(spec.sigma * noise, axis=1)
-        return _heading_walk(spec.v, theta)
-
-    if isinstance(spec, RunTumble):
-        p_tumble = 1.0 - math.exp(-spec.l)
-        theta0, tumble, fresh = _stack(
-            (rng.uniform(0.0, _TWO_PI), rng.random(steps) < p_tumble,
-             rng.uniform(0.0, _TWO_PI, steps)) for rng in rngs)
-        return _heading_walk(
-            spec.v, _kernels.run_tumble_angles(theta0, tumble, fresh))
-
-    if isinstance(spec, InternalStateWalk):
-        u = float(spec.uniformity)
-        moving, stationary = ((1.0 - u) * p + u / len(p)
-                              for p in (_MOVING_PROBS, _STATIONARY_PROBS))
-        c = np.cumsum(moving)
-        heading0, action_u, dir_u = _stack(
-            (int(rng.random() * 4.0), rng.random(steps), rng.random(steps))
-            for rng in rngs)
-        coords = np.zeros((len(rngs), steps + 1, 2))
-        coords[:, 1:] = _kernels.internal_state_positions(
-            heading0, spec.step, c[0], c[1], c[2], c[3], stationary[0],
-            action_u, dir_u,
-        )
-        return coords
-
-    raise InvalidSpecError(f"unknown model spec {spec!r}")
+    coords = np.zeros((len(rngs), steps + 1, 2))
+    for model in dict.fromkeys(map(type, specs)):
+        rows = [i for i, spec in enumerate(specs) if type(spec) is model]
+        coords[rows, 1:] = _steps(model, [specs[i] for i in rows], steps,
+                                  [rngs[i] for i in rows])
+    return coords
 
 
 def generate(spec: ModelSpec, steps: int, seed: int | np.random.Generator) -> Trajectory:
@@ -227,7 +246,7 @@ def generate(spec: ModelSpec, steps: int, seed: int | np.random.Generator) -> Tr
     Returns a trajectory of ``steps + 1`` points at times 0..steps starting
     at the origin; identical output for identical (spec, steps, seed).
     """
-    coords = generate_many(spec, steps, [seed])[0]
+    coords = generate_many([spec], steps, [seed])[0]
     return Trajectory(np.arange(len(coords), dtype=float), coords)
 
 

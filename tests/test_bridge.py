@@ -77,9 +77,9 @@ class TestSampleBridge:
     @pytest.mark.parametrize("sigma", [-1.0, math.nan, math.inf])
     def test_bad_sigma_rejected(self, sigma):
         gapped = gap((0, 0), (1, 1), 10.0, [5.0])
-        with pytest.raises(DomainError, match="sigma_m must be >= 0"):
+        with pytest.raises(DomainError, match="sigma_m must be finite and >= 0"):
             fill_gap(gapped, sigma, 0)
-        with pytest.raises(DomainError, match="sigma_m must be >= 0"):
+        with pytest.raises(DomainError, match="sigma_m must be finite and >= 0"):
             estimate_gap_rog(gapped, sigma, 10, 0)
 
     def test_midpoint_marginal_statistics(self):
@@ -154,6 +154,10 @@ class TestExpectedPathLength:
             expected_path_length(1.0, -1.0, (1, 1), 5)
         with pytest.raises(DomainError):
             expected_path_length(-1.0, 1.0, (1, 1), 5)
+        with pytest.raises(DomainError, match="finite"):
+            expected_path_length(math.inf, 1.0, (1, 1), 5)
+        with pytest.raises(DomainError, match="displacement must be finite"):
+            expected_path_length(1.0, 1.0, (math.inf, 1), 5)
 
 
 class TestSampledLengths:

@@ -75,6 +75,16 @@ class TestFill:
         assert exc.value.code == 2
         assert flags[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--gap-start", "--gap-count"])
+    def test_one_gap_flag_is_usage_error(self, path_csv, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["fill", "--in", str(path_csv), flag, "10",
+                  "--out", str(tmp_path / "o.csv")])
+        assert exc.value.code == 2
+        assert "--gap-start and --gap-count must be given together" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "o.csv").exists()
+
     def test_linear_skips_sigma(self, path_csv, tmp_path, capsys, monkeypatch):
         def no_fit(traj):
             raise AssertionError("a linear fill needs no sigma")
@@ -119,6 +129,20 @@ class TestFill:
         assert not est["clamped"]
         assert est["sigma_hat"] == pytest.approx(
             closed_form_sigma(extract_triples(traj)), rel=1e-12)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty file"),
+        # Python's float() takes the underscore but numpy's parser does not,
+        # so numpy's own message is shown.
+        ("t,x,y\n0,1_000,0\n1,1,1\n", "could not convert string '1_000'"),
+    ], ids=["empty", "underscore-digits"])
+    def test_unreadable_estimate_input_is_data_error(self, tmp_path, capsys, text,
+                                                    message):
+        src = tmp_path / "in.csv"
+        src.write_text(text)
+        assert main(["estimate", "--in", str(src)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"bridgefill: error: {src}: ") and message in err
 
     def test_malformed_csv_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -297,15 +321,35 @@ class TestExperiment:
         {"master_seed": -1},
         {"kind": "path-length", "fill_anchors": "loop"},
         {"gap_count": -5},
+        {"models": []},
+        {"gap_start": 0},
+        {"steps": 100, "gap_start": 50, "gap_count": 60},
     ], ids=["replicates-string", "steps-fraction", "model-not-mapping",
             "models-null", "master-seed-negative", "path-length-loop-anchors",
-            "gap-count-negative"])
+            "gap-count-negative", "models-empty", "gap-start-zero",
+            "gap-past-end"])
     def test_bad_config_is_data_error(self, tmp_path, capsys, field):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"kind": "rog", "replicates": 1, **field}))
         assert main(["experiment", "--config", str(config),
                      "--out", str(tmp_path / "out")]) == 3
         assert "bridgefill: error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", [
+        {"kind": "path-length",
+         "models": [{"model": "discrete-brownian", "sigma": 1e-300}]},
+        {"kind": "path-length",
+         "models": [{"model": "discrete-brownian", "sigma": 1e-313}]},
+        {"kind": "rog", "models": [{"model": "fixed-velocity", "v": 1e-162}]},
+    ], ids=["std-dev-overflows", "mean-overflows", "rog-std-dev-overflows"])
+    def test_overflowing_summary_is_data_error(self, tmp_path, capsys, config):
+        # Tiny scales give huge ratios: their squared deviations, or their
+        # sum, overflow. The suite turns any numpy warning into an error.
+        path, out = tmp_path / "config.json", tmp_path / "out"
+        path.write_text(json.dumps({**config, "replicates": 20}))
+        assert main(["experiment", "--config", str(path), "--out", str(out)]) == 3
+        assert "bridgefill: error: a result is not finite" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("message, shown", [
         ("Unable to allocate 576. GiB for an array", "Unable to allocate 576. GiB"),
@@ -441,17 +485,30 @@ class TestExperiment:
         assert err.startswith("bridgefill: error: ") and message in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["experiment", "--kind", "rog", "--replicates", "1"],
-    ["simulate", "--model", "fixed-velocity", "--steps", "5"],
-    ["fill", "--in", "in.csv"],
-], ids=["experiment", "simulate", "fill"])
-def test_negative_seed_is_usage_error(tmp_path, capsys, argv):
+@pytest.mark.parametrize("argv, seed", [
+    (["experiment", "--kind", "rog", "--replicates", "1"], "-1"),
+    (["simulate", "--model", "fixed-velocity", "--steps", "5"], "-1"),
+    (["fill", "--in", "in.csv"], "-1"),
+    (["simulate", "--model", "fixed-velocity", "--steps", "5"], "abc"),
+], ids=["experiment", "simulate", "fill", "simulate-not-a-number"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, argv, seed):
     with pytest.raises(SystemExit) as exc:
-        main([*argv, "--seed", "-1", "--out", str(tmp_path / "out")])
+        main([*argv, "--seed", seed, "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
-    assert "--seed: expected a non-negative integer, got '-1'" in (
+    assert f"--seed: expected a non-negative integer, got '{seed}'" in (
         capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("param, message", [
+    ("sigma", "--param expects key=value, got 'sigma'"),
+    ("sigma=abc", "--param sigma: 'abc' is not a number"),
+], ids=["no-value", "not-a-number"])
+def test_bad_param_is_usage_error(tmp_path, capsys, param, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--model", "discrete-brownian", "--param", param,
+              "--steps", "5", "--out", str(tmp_path / "out.csv")])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 class TestGolden:

@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 
 from bridgefill import experiments
-from bridgefill.errors import InvalidSpecError, TooFewPointsError
+from bridgefill.errors import InvalidSpecError, NonFiniteError, TooFewPointsError
 from bridgefill.experiments import (
     _quartiles,
     _summarise_cell,
@@ -61,6 +61,15 @@ def test_replicates_beyond_the_seeding_keys_rejected():
 def test_negative_gap_count_rejected(kind):
     with pytest.raises(InvalidSpecError, match="gap_count must be >= 0"):
         dataclasses.replace(default_config(kind), gap_count=-1)
+
+
+def test_non_finite_summary_writes_no_file(tmp_path):
+    report = run_experiment(default_config("rog", replicates=1))
+    report.summary["cells"][0]["std_dev"] = math.inf
+    path = tmp_path / "summary.json"
+    with pytest.raises(NonFiniteError, match="a result is not finite"):
+        write_summary_json(report, path)
+    assert not path.exists()
 
 
 def _linear_rog_after(config, cell, rep):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bridgefill import _kernels
+from bridgefill.errors import DomainError
 from bridgefill.gapfill import estimate_gap_rog, fill_gap
 from bridgefill.metrics import radii_of_gyration
 from bridgefill.seeding import make_rng
@@ -44,6 +45,10 @@ class TestEstimateGapRog:
         assert est.mean == pytest.approx(rog, rel=1e-12)
         assert est.realisations == 1
         assert math.isnan(est.std_error)
+
+    def test_needs_a_realisation(self):
+        with pytest.raises(DomainError, match="realisations must be >= 1"):
+            estimate_gap_rog(_gapped(25), 1.3, 0, 1)
 
     def test_realisations_match_spliced_rogs(self):
         gapped = _gapped(25)

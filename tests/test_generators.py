@@ -60,24 +60,46 @@ class TestGenerateMany:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
     def test_rows_equal_single_paths(self, spec, m):
         seeds = [child_seed(17, i) for i in range(m)]
-        batch = generate_many(spec, 60, seeds)
+        batch = generate_many([spec] * m, 60, seeds)
         assert batch.shape == (m, 61, 2)
         for row, seed in zip(batch, seeds):
             assert np.array_equal(row, generate(spec, 60, seed).coords)
 
+    def test_mixed_models_equal_single_paths(self):
+        # Every model in one call, interleaved, with pinned and free
+        # discrete-brownian rows and two parameter values per model.
+        others = [DiscreteBrownian(sigma=3.0, target_x=-2.0, target_y=5.0),
+                  FixedVelocity(v=0.5), AngularWalk(sigma=2.0, v=0.5),
+                  InternalStateWalk(uniformity=1.0, step=2.0), RunTumble(l=0.1, v=3.0)]
+        specs = [*ALL_SPECS, *others, *ALL_SPECS[::-1]]
+        seeds = [child_seed(23, i) for i in range(len(specs))]
+        batch = generate_many(specs, 60, seeds)
+        assert batch.shape == (len(specs), 61, 2)
+        for row, spec, seed in zip(batch, specs, seeds):
+            assert np.array_equal(row, generate(spec, 60, seed).coords), spec
+
+    @pytest.mark.parametrize("n_specs", [1, 3])
+    def test_one_spec_per_seed(self, n_specs):
+        with pytest.raises(ValueError):
+            generate_many([FixedVelocity()] * n_specs, 5, [1, 2])
+
+    def test_unknown_spec_rejected(self):
+        with pytest.raises(InvalidSpecError, match="unknown model spec"):
+            generate_many([FixedVelocity(), "fixed-velocity"], 5, [1, 2])
+
     def test_steps_validation(self):
         with pytest.raises(InvalidSpecError):
-            generate_many(FixedVelocity(), 2.5, [1])
+            generate_many([FixedVelocity()], 2.5, [1])
 
     @pytest.mark.parametrize("steps", [2 ** 62, 10 ** 30], ids=["2**62", "10**30"])
     def test_steps_beyond_an_array_rejected(self, steps):
         # checked before anything is allocated
         with pytest.raises(InvalidSpecError, match="too many for one float array"):
-            generate_many(FixedVelocity(), steps, [1])
+            generate_many([FixedVelocity()], steps, [1])
 
     def test_needs_a_seed(self):
         with pytest.raises(InvalidSpecError, match="at least one seed"):
-            generate_many(FixedVelocity(), 5, [])
+            generate_many([], 5, [])
 
 
 class TestInternalStateWalker:
@@ -211,7 +233,8 @@ class TestInternalState:
         kernel = _kernels.internal_state_positions
 
         def spy(heading0, step, c0, c1, c2, c3, stay, *rest):
-            seen.append(([c0, c1, c2, c3], stay))
+            # one (1, 1) column per threshold for the one row
+            seen.append(([c.item() for c in (c0, c1, c2, c3)], stay.item()))
             return kernel(heading0, step, c0, c1, c2, c3, stay, *rest)
 
         monkeypatch.setattr(_kernels, "internal_state_positions", spy)

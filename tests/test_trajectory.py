@@ -61,6 +61,14 @@ class TestBuildTrajectory:
         with pytest.raises(ValueError):
             Trajectory([], np.empty((0, 2)))
 
+    @pytest.mark.parametrize("coords, sources, message", [
+        ([[0, 0]], None, "shape mismatch"),
+        ([[0, 0], [1, 1]], ("observed",), "one source label per point"),
+    ], ids=["coords-short", "sources-short"])
+    def test_lengths_must_agree(self, coords, sources, message):
+        with pytest.raises(ValueError, match=message):
+            Trajectory([0, 1], coords, sources)
+
     def test_345_triangle_length(self):
         traj = Trajectory([0, 1], [[0, 0], [3, 4]])
         assert path_lengths(traj.coords) == 5.0
