@@ -17,6 +17,7 @@ from bridgefill.errors import (
 )
 from bridgefill.metrics import path_lengths
 from bridgefill.trajectory import (
+    _WRITE_CHUNK,
     GappedTrajectory,
     Trajectory,
     excise_gap,
@@ -308,6 +309,26 @@ class TestCsv:
             writer.writerow(row + [sources[i]] if labelled else row)
         assert path.read_bytes() == expected.getvalue().encode()
 
+    @pytest.mark.parametrize("labelled", [False, True])
+    @pytest.mark.parametrize("n", [1, _WRITE_CHUNK - 1, _WRITE_CHUNK, _WRITE_CHUNK + 1,
+                                   2 * _WRITE_CHUNK + 1],
+                             ids=["one", "chunk-less-one", "chunk", "chunk-plus-one",
+                                  "two-chunks-plus-one"])
+    def test_chunk_edges_match_csv_module(self, tmp_path, n, labelled):
+        rng = np.random.default_rng(n)
+        times = np.cumsum(rng.uniform(0.1, 2.0, n))
+        coords = rng.standard_normal((n, 2))
+        sources = tuple(rng.choice(["observed", "bridge"], n)) if labelled else None
+        path = tmp_path / "t.csv"
+        write_trajectory_csv(path, Trajectory(times, coords, sources))
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["t", "x", "y", "source"][:4 if labelled else 3])
+        for i in range(n):
+            row = [repr(float(v)) for v in (times[i], *coords[i])]
+            writer.writerow(row + [sources[i]] if labelled else row)
+        assert path.read_bytes() == expected.getvalue().encode()
+
     @pytest.mark.parametrize("text,line", [
         ("t,x,y\n0,0,0\n1,1\n", 3),
         ("t,x,y\n0,0,0\n\n\n1,1,1,1\n", 5),
@@ -316,8 +337,15 @@ class TestCsv:
         ("t,x,y\n0,0,0\n1,zero,1\n", 3),
         ("t,x,y\n0,0,0\n\n1,1,\n", 4),
         ("t,x,y,source\n0,0,0,observed\n\n\n1,1,one,bridge\n", 5),
+        # Python's float takes these, np.loadtxt does not.
+        ("t,x,y\n0,1_000,0\n1,1,1\n", 2),
+        ("t,x,y\n0,\u0661,0\n1,1,1\n", 2),
+        ("t,x,y\n0,0,0\n\n1,1_0,1\n", 4),
+        # np.loadtxt strips this separator as white space; float does not.
+        ("t,x,y\n0,\x1c1,0\n1,zero,1\n", 3),
     ], ids=["short", "long", "source-short", "source-long", "word", "empty-field",
-            "source-word"])
+            "source-word", "underscore", "arabic-indic-digit", "underscore-after-blank",
+            "unicode-space"])
     def test_bad_row_names_its_line(self, tmp_path, text, line):
         path = tmp_path / "bad.csv"
         path.write_text(text)
