@@ -30,6 +30,7 @@ from .experiments import (
     config_from_dict,
     run_experiment,
     write_records_csv,
+    write_summary_json,
 )
 from .gapfill import (
     DEFAULT_ROG_REALISATIONS,
@@ -158,6 +159,8 @@ def _cmd_fill(args, parser) -> int:
         math.isfinite(args.sigma) and args.sigma >= 0.0
     ):
         parser.error(f"--sigma must be finite and >= 0, got {args.sigma!r}")
+    if args.method == "linear" and args.sigma is not None:
+        parser.error("--sigma applies to --method bridge only")
     if (args.gap_start is None) != (args.gap_count is None):
         parser.error("--gap-start and --gap-count must be given together")
     traj = read_trajectory_csv(args.infile)
@@ -217,15 +220,13 @@ def _cmd_experiment(args, parser) -> int:
     data.update((k, v) for k, v in overrides.items() if v is not None)
     config = config_from_dict(data)
     report = run_experiment(config)
-    # Serialised before any file is opened, so a non-finite result writes none.
-    summary = _json_text(report.summary)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = config.kind.replace("-", "_")
     records_path = out_dir / f"{stem}_records.csv"
     summary_path = out_dir / f"{stem}_summary.json"
     write_records_csv(report, records_path)
-    summary_path.write_text(summary + "\n", encoding="utf-8")
+    write_summary_json(report, summary_path)
     print(_json_text({
         "records": str(records_path),
         "summary": str(summary_path),

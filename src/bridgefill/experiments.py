@@ -29,9 +29,10 @@ fit, then either the path lengths and chords or, for ``rog``, one kernel
 call that builds both fills of every row (the straight line being the
 bridge with sigma 0).
 The result is one set of (2, rows) record columns, the fill method on axis
-0 in ``METHODS`` order. Records and CSV read the whole table; each summary
-cell reads its cell's slice of it. Every value equals what the single-path
-functions give for that replicate, bit for bit.
+0 in ``METHODS`` order. The records read the whole table as one list of
+Python floats per column; each summary cell reads its cell's slice of those
+lists. Every value equals what the single-path functions give for that
+replicate, bit for bit.
 
 Every replicate still has its own streams: the key ``(cell_index,
 replicate, purpose)`` has the child seed ``SeedSequence((master,
@@ -46,7 +47,9 @@ and independent of how rows are blocked. Summaries embed the seed,
 the model grid, and the package version. Each summary cell's statistics
 cover the finite values only, and ``count`` says how many there were: a
 path-length replicate whose true gap length is 0 keeps its ``inf`` ratio in
-the records but not in the summary.
+the records but not in the summary. A summary sum or squared deviation
+beyond the float range raises NonFiniteError, so every summary is strict
+JSON.
 """
 
 from __future__ import annotations
@@ -266,13 +269,13 @@ def _run_block(config: ExperimentConfig, seeds: np.ndarray, words: np.ndarray,
             "rog_after": rog_after, "rog_error": _ratios(rog_after, rog_before)}
 
 
-def _quartiles(values: np.ndarray) -> list[float]:
+def _quartiles(values: list[float]) -> list[float]:
     """``np.percentile(values, [25, 50, 75])`` by numpy's own arithmetic,
     without its per-call overhead: on the sorted values, the point at
     position p = (n - 1) q between a = s[floor p] and the next value b is
     a + (b - a) t for t = p - floor p, or b - (b - a)(1 - t) when t >= 0.5.
     """
-    s = np.sort(values).tolist()
+    s = sorted(values)
     out = []
     for q in (0.25, 0.5, 0.75):
         pos = (len(s) - 1) * q
@@ -282,47 +285,50 @@ def _quartiles(values: np.ndarray) -> list[float]:
     return out
 
 
-def _statistics(values: np.ndarray) -> dict:
+def _mean(values: list[float]) -> float | None:
+    """The mean of ``values`` from their exact sum, None when there are
+    none; raises OverflowError when that sum is beyond the float range."""
+    return math.fsum(values) / len(values) if values else None
+
+
+def _statistics(values: list[float]) -> dict:
     """Mean, sample standard deviation, quartiles and the count of values
-    beyond 1.5 IQR of the quartiles; all None when ``values`` is empty."""
-    if len(values) == 0:
+    beyond 1.5 IQR of the quartiles, of finite ``values``; all None when
+    there are none. Raises OverflowError when a sum or a squared deviation
+    is beyond the float range."""
+    if not values:
         return dict.fromkeys(("mean_error", "std_dev", "quartiles", "outliers"))
     q1, q2, q3 = _quartiles(values)
-    iqr = q3 - q1
-    try:
-        mean = math.fsum(values) / len(values)
-        with np.errstate(over="ignore"):  # an overflowing square makes std_dev inf
-            squares = math.fsum((v - mean) ** 2 for v in values)
-    except OverflowError:  # a sum of finite values beyond the float range
-        raise NonFiniteError("a result is not finite: a summary sum overflows") from None
-    std = math.sqrt(squares / (len(values) - 1)) if len(values) > 1 else 0.0
+    lo, hi = q1 - 1.5 * (q3 - q1), q3 + 1.5 * (q3 - q1)
+    mean = _mean(values)
+    squares = math.fsum((v - mean) ** 2 for v in values)  # 0.0 for one value
     return {
         "mean_error": mean,
-        "std_dev": std,
+        "std_dev": math.sqrt(squares / max(len(values) - 1, 1)),
         "quartiles": [q1, q2, q3],
-        "outliers": int(
-            ((values < q1 - 1.5 * iqr) | (values > q3 + 1.5 * iqr)).sum()
-        ),
+        "outliers": sum(v < lo or v > hi for v in values),
     }
 
 
 def _summarise_cell(kind: str, spec: ModelSpec, method: str,
-                    columns: dict[str, np.ndarray]) -> dict:
+                    columns: dict[str, list[float]]) -> dict:
     value_key = "length_ratio" if kind == PATH_LENGTH_KIND else "rog_error"
-    values = columns[value_key]
-    values = values[np.isfinite(values)]
+    values = [v for v in columns[value_key] if math.isfinite(v)]
     cell = {
         "model": spec_to_dict(spec),
         "params": _params_label(spec),
         "method": method,
         "count": len(values),
-        **_statistics(values),
     }
+    try:
+        cell.update(_statistics(values))
+        if kind == ROG_KIND:
+            for key in ("rog_before", "rog_after"):
+                cell[f"mean_{key}"] = _mean([v for v in columns[key] if math.isfinite(v)])
+    except OverflowError:  # a sum or square of finite values beyond the float range
+        raise NonFiniteError("a result is not finite: a summary sum overflows") from None
     if kind == ROG_KIND:
-        for key in ("rog_before", "rog_after"):
-            finite = columns[key][np.isfinite(columns[key])]
-            cell[f"mean_{key}"] = math.fsum(finite) / len(finite) if len(finite) else None
-        histogram = Counter(f"{v:.1f}" for v in values.tolist())
+        histogram = Counter(f"{v:.1f}" for v in values)
         cell["histogram"] = {k: histogram[k] for k in sorted(histogram, key=float)}
     return cell
 
@@ -356,9 +362,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         **{name: col.T.ravel().tolist() for name, col in columns.items()},
     }
     records = tuple(dict(zip(names, row)) for row in zip(*map(values.get, names)))
+    # Cell c's method-j records are every second record of its 2 * reps.
     cells = [
         _summarise_cell(config.kind, spec, method, {
-            name: col[j, c * reps:(c + 1) * reps] for name, col in columns.items()})
+            name: values[name][2 * c * reps + j:2 * (c + 1) * reps:2] for name in columns})
         for c, spec in enumerate(config.models) for j, method in enumerate(METHODS)
     ]
     summary = {

@@ -14,8 +14,9 @@ filled ones (``source`` in {observed, bridge, linear}). Floats are written
 with ``repr``, which round-trips doubles exactly.
 
 CSV dialect: comma-separated rows ending in CRLF, no quoting and no comment
-lines. The reader accepts any line ending, skips empty lines and parses the
-rows with ``np.loadtxt``, which also sets the accepted number syntax.
+lines. The reader accepts any line ending, an optional UTF-8 byte-order
+mark and empty lines, which it skips, and parses the rows with
+``np.loadtxt``, which also sets the accepted number syntax.
 """
 
 from __future__ import annotations
@@ -257,7 +258,9 @@ def read_trajectory_csv(path: str | Path) -> Trajectory:
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            header = fh.readline()
+            # A byte-order mark, as spreadsheet "CSV UTF-8" exports write,
+            # can only start the header line.
+            header = fh.readline().removeprefix("\ufeff")
             if not header:
                 raise CsvFormatError(f"{path}: empty file")
             header = [h.strip() for h in header.rstrip("\n").split(",")]

@@ -68,6 +68,7 @@ class TestFill:
 
     @pytest.mark.parametrize("flags", [
         ["--realisations", "0"], ["--sigma", "-1"], ["--sigma", "nan"],
+        ["--method", "linear", "--sigma", "1"],
     ])
     def test_bad_flags_are_usage_errors(self, path_csv, tmp_path, capsys, flags):
         with pytest.raises(SystemExit) as exc:

@@ -125,11 +125,21 @@ def test_zero_length_gap_keeps_summary_strict_json(tmp_path):
 
 def test_summary_statistics_skip_non_finite_values():
     spec = default_config("path-length").models[0]
-    values = np.array([math.inf, 2.0, 4.0])
+    values = np.array([math.inf, 2.0, 4.0, math.nan])
     cell = _summarise_cell("path-length", spec, "bridge", {"length_ratio": values})
     assert cell["count"] == 2
     assert cell["mean_error"] == 3.0
     assert cell["quartiles"] == [2.5, 3.0, 3.5]
+
+
+def test_overflowing_std_dev_raises():
+    # At sigma 1e-300 the bridge's length ratios near 1e294 have a finite
+    # mean, but their squared deviations overflow.
+    config = config_from_dict({
+        "kind": "path-length", "replicates": 20,
+        "models": [{"model": "discrete-brownian", "sigma": 1e-300}]})
+    with pytest.raises(NonFiniteError, match="a summary sum overflows"):
+        run_experiment(config)
 
 
 # sha256 of the reports at the default master seed, at 3 replicates and at

@@ -2,11 +2,13 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import re
 from pathlib import Path
 
 import bridgefill
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 
 
 def _bench_modules() -> dict:
@@ -24,6 +26,14 @@ def test_every_exported_name_resolves():
     missing = [name for name in bridgefill.__all__ if not hasattr(bridgefill, name)]
     assert missing == []
     assert len(set(bridgefill.__all__)) == len(bridgefill.__all__)
+
+
+def test_pyproject_version_is_package_version():
+    # Every summary embeds the version, which is set by hand in two files.
+    # A regex, as Python 3.10 has no tomllib.
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    [version] = re.findall(r'^version = "([^"]*)"$', text, re.MULTILINE)
+    assert version == bridgefill.__version__
 
 
 def test_benchmark_import_surface_resolves():

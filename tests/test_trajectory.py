@@ -384,10 +384,10 @@ class TestCsv:
             write_trajectory_csv(tmp_path / "t.csv", traj)
 
     @pytest.mark.parametrize("text", ["t,x,y\r\n", "t,x,y\n\n\n",
-                                      "t,x,y,source\n"])
+                                      "t,x,y,source\n", "\ufefft,x,y\r\n"])
     def test_header_only_rejected_without_warning(self, tmp_path, text):
         path = tmp_path / "t.csv"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(CsvFormatError, match="no data rows"):
