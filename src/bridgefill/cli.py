@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: simulate | gap | fill | estimate | metrics | experiment.
-Exit codes: 0 success, 2 usage error, 3 data error. Text files are UTF-8.
+Exit codes: 0 success, 2 usage error, 3 data error. Text files are UTF-8,
+and one may start with a byte-order mark.
 
 Model parameters are passed as repeatable ``--param key=value`` flags; the
 same keys appear in experiment config files (JSON). Valid keys per model:
@@ -208,7 +209,8 @@ def _cmd_experiment(args, parser) -> int:
     data = {}
     if args.config is not None:
         try:
-            data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            text = Path(args.config).read_text(encoding="utf-8")
+            data = json.loads(text.removeprefix("\ufeff"))  # as some editors save it
         except ValueError as exc:  # also undecodable bytes and huge integers
             raise InvalidSpecError(f"{args.config}: not a JSON config: {exc}") from None
         if not isinstance(data, dict):
@@ -230,7 +232,7 @@ def _cmd_experiment(args, parser) -> int:
     print(_json_text({
         "records": str(records_path),
         "summary": str(summary_path),
-        "record_count": len(report.records),
+        "record_count": len(report.columns["method"]),
     }))
     return 0
 

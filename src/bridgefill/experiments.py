@@ -28,11 +28,20 @@ the rows by model), excision by slicing at fixed indices, one estimator
 fit, then either the path lengths and chords or, for ``rog``, one kernel
 call that builds both fills of every row (the straight line being the
 bridge with sigma 0).
-The result is one set of (2, rows) record columns, the fill method on axis
-0 in ``METHODS`` order. The records read the whole table as one list of
-Python floats per column; each summary cell reads its cell's slice of those
-lists. Every value equals what the single-path functions give for that
-replicate, bit for bit.
+A block gives each per-replicate value once, as a (rows,) array, and each
+per-method value as a (2, rows) array, the fill method on axis 0 in
+``METHODS`` order.
+
+The report's ``columns`` are the record table: one list of Python values
+per column, with one entry per record, record ``2 * row + j`` being fill
+method j of run-table row ``row``, so a per-replicate value appears once per
+method. The columns, in CSV order, are ``model``, ``params``,
+``replicate``, ``seed``, ``sigma_hat`` and ``method``, then the kind's
+scores: ``true_length``, ``estimated_length`` and ``length_ratio`` for
+``path-length``; ``rog_before``, ``rog_after`` and ``rog_error`` for
+``rog``. Each summary cell reads its cell's slice of the score lists. Every
+value equals what the single-path functions give for that replicate, bit
+for bit.
 
 Every replicate still has its own streams: the key ``(cell_index,
 replicate, purpose)`` has the child seed ``SeedSequence((master,
@@ -58,6 +67,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -93,18 +103,6 @@ DEFAULT_MASTER_SEED = 20260301
 # Path points held per block of run-table rows: a rog block of about 130
 # 1000-point rows keeps its largest arrays near 4 MB each.
 _BLOCK_POINTS = 1 << 17
-
-_RECORD_COLUMNS = {
-    PATH_LENGTH_KIND: (
-        "model", "params", "replicate", "seed", "sigma_hat", "method",
-        "true_length", "estimated_length", "length_ratio",
-    ),
-    ROG_KIND: (
-        "model", "params", "replicate", "seed", "sigma_hat", "method",
-        "rog_before", "rog_after", "rog_error",
-    ),
-}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -197,11 +195,28 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ExperimentReport:
+    """A run's configuration, record table and summary.
+
+    ``columns`` maps each record column, in CSV order, to its values, one
+    per record. ``records`` is the same table as one dict per record, built
+    on first read. Row dicts passed as ``records`` stand in for that view,
+    so ``dataclasses.replace(report, records=rows)`` reads back ``rows``.
+    """
     config: ExperimentConfig
-    records: tuple[dict, ...]
+    columns: dict[str, list]
     summary: dict
+
+    def __init__(self, config: ExperimentConfig, columns: dict[str, list],
+                 summary: dict, records: tuple[dict, ...] | None = None) -> None:
+        self.__dict__.update(config=config, columns=columns, summary=summary)
+        if records is not None:
+            self.__dict__["records"] = records
+
+    @cached_property
+    def records(self) -> tuple[dict, ...]:
+        return tuple(dict(zip(self.columns, row)) for row in zip(*self.columns.values()))
 
 
 def _params_label(spec: ModelSpec) -> str:
@@ -223,8 +238,9 @@ def _ratios(estimated: np.ndarray, true: np.ndarray) -> np.ndarray:
 def _run_block(config: ExperimentConfig, seeds: np.ndarray, words: np.ndarray,
                lo: int, hi: int) -> dict[str, np.ndarray]:
     """Rows ``lo:hi`` of the run table, which may span cells: the record
-    columns from ``seed`` on, ``method`` aside, each (2, hi - lo) with one
-    row per method in ``METHODS`` order. ``seeds`` (rows, purposes) and
+    columns from ``seed`` on, ``method`` aside, in record order. A
+    per-replicate column is (hi - lo,), a per-method one (2, hi - lo) with
+    one row per method in ``METHODS`` order. ``seeds`` (rows, purposes) and
     ``words`` (rows, purposes, 4) hold every row's child seeds and PCG64
     seed words by purpose."""
     specs = [config.models[r // config.replicates] for r in range(lo, hi)]
@@ -236,8 +252,7 @@ def _run_block(config: ExperimentConfig, seeds: np.ndarray, words: np.ndarray,
         np.concatenate([coords[:, :left + 1], coords[:, right:]], axis=1),
     )
     duration = times[right] - times[left]
-    seed = seeds[lo:hi, 0]
-    shared = {"seed": np.array([seed, seed]), "sigma_hat": np.array([sigma, sigma])}
+    shared = {"seed": seeds[lo:hi, 0], "sigma_hat": sigma}
 
     if config.kind == PATH_LENGTH_KIND:
         true_length = path_lengths(coords[:, left:right + 1])
@@ -247,8 +262,7 @@ def _run_block(config: ExperimentConfig, seeds: np.ndarray, words: np.ndarray,
              for s, d in zip(sigma.tolist(), chord.tolist())],
             np.hypot(chord[:, 0], chord[:, 1]),
         ])
-        return {**shared, "true_length": np.array([true_length, true_length]),
-                "estimated_length": estimated,
+        return {**shared, "true_length": true_length, "estimated_length": estimated,
                 "length_ratio": _ratios(estimated, true_length)}
 
     # Both fills of every replicate in one kernel call, along a method axis:
@@ -265,8 +279,8 @@ def _run_block(config: ExperimentConfig, seeds: np.ndarray, words: np.ndarray,
     )
     rog_before = radii_of_gyration(coords)
     rog_after = radii_of_gyration(filled)
-    return {**shared, "rog_before": np.array([rog_before, rog_before]),
-            "rog_after": rog_after, "rog_error": _ratios(rog_after, rog_before)}
+    return {**shared, "rog_before": rog_before, "rog_after": rog_after,
+            "rog_error": _ratios(rog_after, rog_before)}
 
 
 def _quartiles(values: list[float]) -> list[float]:
@@ -349,23 +363,23 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     block = max(1, _BLOCK_POINTS // (config.steps + 1))
     parts = [_run_block(config, seeds, words, lo, min(lo + block, rows))
              for lo in range(0, rows, block)]
-    columns = {name: np.concatenate([p[name] for p in parts], axis=1)
-               for name in parts[0]}
-    models = [spec_to_dict(spec)["model"] for spec in config.models]
-    params = [_params_label(spec) for spec in config.models]
-    names = _RECORD_COLUMNS[config.kind]
-    values = {
-        "model": np.repeat(models, 2 * reps).tolist(),
-        "params": np.repeat(params, 2 * reps).tolist(),
-        "replicate": (np.arange(2 * rows) // 2 % reps).tolist(),
-        "method": METHODS * rows,
-        **{name: col.T.ravel().tolist() for name, col in columns.items()},
-    }
-    records = tuple(dict(zip(names, row)) for row in zip(*map(values.get, names)))
+    # Record 2 * row + j is method j of run-table row ``row``; a
+    # per-replicate value serves both methods.
+    seed, sigma_hat, *scores = (
+        (name, np.broadcast_to(np.concatenate([p[name] for p in parts], axis=-1),
+                               (2, rows)).T.ravel().tolist())
+        for name in parts[0])
+    columns = dict([
+        ("model", np.repeat([spec.model for spec in config.models], 2 * reps).tolist()),
+        ("params", np.repeat([_params_label(spec) for spec in config.models],
+                             2 * reps).tolist()),
+        ("replicate", (np.arange(2 * rows) // 2 % reps).tolist()),
+        seed, sigma_hat, ("method", list(METHODS) * rows), *scores,
+    ])
     # Cell c's method-j records are every second record of its 2 * reps.
     cells = [
         _summarise_cell(config.kind, spec, method, {
-            name: values[name][2 * c * reps + j:2 * (c + 1) * reps:2] for name in columns})
+            name: values[2 * c * reps + j:2 * (c + 1) * reps:2] for name, values in scores})
         for c, spec in enumerate(config.models) for j, method in enumerate(METHODS)
     ]
     summary = {
@@ -374,16 +388,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         "version": __version__,
         "cells": cells,
     }
-    return ExperimentReport(config=config, records=records, summary=summary)
+    return ExperimentReport(config=config, columns=columns, summary=summary)
 
 
 def write_records_csv(report: ExperimentReport, path: str | Path) -> None:
     """Per-replicate records as CSV; floats keep full precision."""
-    columns = _RECORD_COLUMNS[report.config.kind]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(columns) + "\n")
-        for record in report.records:
-            fh.write(",".join(str(record[c]) for c in columns) + "\n")
+        fh.write(",".join(report.columns) + "\n")
+        fh.writelines(",".join(row) + "\n"
+                      for row in zip(*(map(str, c) for c in report.columns.values())))
 
 
 def _json_text(obj: dict) -> str:

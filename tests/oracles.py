@@ -12,10 +12,12 @@ triple over point objects (the package reduces whole arrays), the
 internal-state walker steps through its state machine one draw at a time
 (the package solves it in closed form), and experiment records are built
 one replicate at a time, each path generated, filled and scored on its own
-(the package runs each cell as arrays). The ``*_interleaved`` references
-are the package's earlier (..., n, 2) formulas, which reduce over and
-broadcast against the 2-long coordinate axis; the plane-wise kernels must
-equal them bit for bit.
+(the package runs each cell as arrays). The expected squared radius of
+gyration of a bridge-filled path is a closed form, which the package does
+not compute (it samples). The ``*_interleaved`` references are the
+package's earlier (..., n, 2) formulas, which reduce over and broadcast
+against the 2-long coordinate axis; the plane-wise kernels must equal them
+bit for bit.
 """
 
 import math
@@ -379,6 +381,35 @@ def loop_gap(gapped):
         Trajectory(observed.times[[split - 1, split]],
                    observed.coords[[-1, split]]),
         1, gapped.missing_times)
+
+
+def expected_rog_squared(gapped, sigma_m: float, start=None) -> float:
+    """E[RoG^2] of ``gapped`` spliced with a bridge from ``start`` (default:
+    the left anchor), put at the left anchor's time, to the right anchor, in
+    closed form.
+
+    With L the straight line spliced into the observed points, N points in
+    all, s_j the missing times less the left anchor's, T the duration and
+    v_j = s_j (T - s_j) / T, each coordinate of bridge point j has variance
+    sigma^2 v_j and covariance sigma^2 s_i (T - s_j) / T with point i < j,
+    so E[RoG^2] = RoG(L)^2 + 2 sigma^2 (sum v / N - (sum v + 2 sum_j
+    ((T - s_j) / T) sum_{i<j} s_i) / N^2). One prefix sum gives the double
+    sum.
+    """
+    coords, split = gapped.observed.coords, gapped.split
+    end = coords[split]
+    start = coords[split - 1] if start is None else np.asarray(start, dtype=float)
+    duration = gapped.duration
+    s = gapped.missing_times - gapped.observed.times[split - 1]
+    line = start + (s / duration)[:, None] * (end - start)
+    points = np.concatenate([coords[:split], line, coords[split:]])
+    n = len(points)
+    rog_squared = ((points - points.mean(axis=0)) ** 2).sum(axis=1).mean()
+    v = s * (duration - s) / duration
+    before = np.cumsum(s) - s  # sum_{i<j} s_i
+    cross = ((duration - s) / duration * before).sum()
+    return float(rog_squared + 2.0 * sigma_m ** 2
+                 * (v.sum() / n - (v.sum() + 2.0 * cross) / n ** 2))
 
 
 def experiment_records(config) -> list[dict]:

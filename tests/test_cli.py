@@ -395,6 +395,13 @@ class TestExperiment:
                      "--out", str(tmp_path / "out")]) == 0
         assert json.loads(capsys.readouterr().out)["record_count"] == 4
 
+    def test_config_with_byte_order_mark_runs(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'\xef\xbb\xbf{"kind": "rog", "replicates": 1}')
+        assert main(["experiment", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert json.loads(capsys.readouterr().out)["record_count"] == 6
+
     @pytest.mark.parametrize("flags, echoed", [
         (["--kind", "rog"], {"kind": "rog"}),
         (["--replicates", "2"], {"replicates": 2}),

@@ -22,8 +22,9 @@ from bridgefill.experiments import (
 from bridgefill.generators import generate
 from bridgefill.metrics import radii_of_gyration
 from bridgefill.seeding import child_seed
+from bridgefill.trajectory import excise_gap
 
-from .oracles import experiment_records
+from .oracles import expected_rog_squared, experiment_records
 
 
 def test_rog_summary_is_byte_identical_across_runs(tmp_path):
@@ -55,6 +56,13 @@ def test_replicates_beyond_the_seeding_keys_rejected():
     assert dataclasses.replace(config, replicates=2 ** 32).replicates == 2 ** 32
     with pytest.raises(InvalidSpecError, match=r"replicates must lie in \[1, 2\*\*32\]"):
         dataclasses.replace(config, replicates=2 ** 32 + 1)
+
+
+def test_unknown_kind_rejected():
+    # config_from_dict fails earlier, in default_config; this is the config's
+    # own check.
+    with pytest.raises(InvalidSpecError, match="kind must be one of"):
+        dataclasses.replace(default_config("rog"), kind="bogus")
 
 
 @pytest.mark.parametrize("kind", ["path-length", "rog"])
@@ -230,6 +238,43 @@ def _small(kind, **fields):
         "path-length-three-word-master", "rog-three-word-master"])
 def test_records_equal_per_replicate_reference(config):
     assert list(run_experiment(config).records) == experiment_records(config)
+
+
+@pytest.mark.parametrize("kind, scores", [
+    ("path-length", ["true_length", "estimated_length", "length_ratio"]),
+    ("rog", ["rog_before", "rog_after", "rog_error"]),
+], ids=["path-length", "rog"])
+def test_columns_are_the_record_table(tmp_path, kind, scores):
+    config = default_config(kind, replicates=3, master_seed=4)
+    report = run_experiment(config)
+    write_records_csv(report, tmp_path / "records.csv")
+    # Neither the run nor the CSV builds a row dict.
+    assert "records" not in vars(report)
+    columns = report.columns
+    assert list(columns) == [
+        "model", "params", "replicate", "seed", "sigma_hat", "method", *scores]
+    assert {len(c) for c in columns.values()} == {2 * len(config.models) * 3}
+    assert [dict(zip(columns, row)) for row in zip(*columns.values())] == list(
+        report.records)
+
+
+def test_rog_bridge_records_match_expected_rog_squared():
+    # Given its path, a bridge record's rog_after^2 has the closed-form mean
+    # E[RoG^2] of a fill from the path's final point. The threshold, 4
+    # standard errors over 300 records, was fixed before the first run.
+    config = default_config("rog", replicates=100, master_seed=11)
+    columns = run_experiment(config).columns
+    differences = []
+    for i in range(0, len(columns["method"]), 2):
+        assert columns["method"][i] == "bridge"
+        spec = config.models[i // (2 * config.replicates)]
+        gapped = excise_gap(generate(spec, config.steps, columns["seed"][i]),
+                            config.gap_start, config.gap_count)
+        expected = expected_rog_squared(gapped, columns["sigma_hat"][i],
+                                        start=gapped.observed.coords[-1])
+        differences.append(columns["rog_after"][i] ** 2 - expected)
+    se = np.std(differences, ddof=1) / math.sqrt(len(differences))
+    assert abs(np.mean(differences)) <= 4.0 * se
 
 
 def test_too_few_observed_points_raise():

@@ -6,11 +6,17 @@ import pytest
 from bridgefill import _kernels
 from bridgefill.errors import DomainError
 from bridgefill.gapfill import estimate_gap_rog, fill_gap
+from bridgefill.generators import AngularWalk, generate
 from bridgefill.metrics import radii_of_gyration
 from bridgefill.seeding import make_rng
 from bridgefill.trajectory import Trajectory, excise_gap
 
-from .oracles import bridge_paths_sequential, gap_rogs_interleaved, loop_gap
+from .oracles import (
+    bridge_paths_sequential,
+    expected_rog_squared,
+    gap_rogs_interleaved,
+    loop_gap,
+)
 
 
 def _gapped(count, offset=(100.0, -50.0)):
@@ -99,6 +105,38 @@ class TestEstimateGapRog:
         far = estimate_gap_rog(_gapped(25, (1e7, -1e7)), 1.3, 200, 7)
         assert far.mean == pytest.approx(near.mean, rel=1e-9)
         assert far.std_error == pytest.approx(near.std_error, rel=1e-9)
+
+
+def _spliced(gapped, fills):
+    """``gapped``'s observed points with each fill of ``fills`` (m, k, 2)
+    spliced in; shape (m, n + k, 2)."""
+    coords, split, k = gapped.observed.coords, gapped.split, fills.shape[1]
+    out = np.empty((len(fills), len(coords) + k, 2))
+    out[:, :split], out[:, split:split + k], out[:, split + k:] = (
+        coords[:split], fills, coords[split:])
+    return out
+
+
+class TestExpectedRogSquared:
+    @pytest.mark.parametrize("sigma", [0.3, 1.0, 3.0])
+    def test_mean_over_spliced_bridges(self, sigma):
+        # A 200-point gap in a 601-point angular walk. The threshold, 4
+        # standard errors of 2000 realisations, was fixed before the first run.
+        gapped = excise_gap(generate(AngularWalk(sigma=0.5), 600, 7), 200, 200)
+        rng = np.random.default_rng(8)
+        fills = np.stack([fill_gap(gapped, sigma, rng) for _ in range(2000)])
+        squares = radii_of_gyration(_spliced(gapped, fills)) ** 2
+        se = squares.std(ddof=1) / math.sqrt(len(squares))
+        assert abs(squares.mean() - expected_rog_squared(gapped, sigma)) <= 4.0 * se
+
+    @pytest.mark.parametrize("anchors", ["left", "loop"])
+    def test_straight_line_is_exact(self, anchors):
+        gapped = excise_gap(generate(AngularWalk(sigma=0.5), 600, 7), 200, 200)
+        start = gapped.observed.coords[-1] if anchors == "loop" else None
+        fill = fill_gap(loop_gap(gapped) if anchors == "loop" else gapped, 0.0, 0)
+        rog = radii_of_gyration(_spliced(gapped, fill[None]))[0]
+        assert rog ** 2 == pytest.approx(expected_rog_squared(gapped, 0.0, start),
+                                         rel=1e-12)
 
 
 def _on_line(start, end, gapped):
