@@ -125,6 +125,10 @@ def expected_path_length(
         raise DomainError("displacement must be finite")
     d_norm = math.hypot(dx, dy)
     var = sigma_m * sigma_m * duration * (segments - 1)
+    if not math.isfinite(var):
+        raise DomainError(
+            f"sigma_m^2 * duration * (segments - 1) must be finite, got sigma_m "
+            f"{sigma_m!r}, duration {duration!r} and segments - 1 = {segments - 1}")
     if var == 0.0:
         return d_norm
     return rice_mean(d_norm, var)

@@ -27,7 +27,8 @@ and may span cells. Every stage makes one call over a block's rows: one
 the rows by model), excision by slicing at fixed indices, one estimator
 fit, then either the path lengths and chords or, for ``rog``, one kernel
 call that builds both fills of every row (the straight line being the
-bridge with sigma 0).
+bridge with sigma 0) and one ``spliced_radii_of_gyration`` call that
+scores them against the observed points, with no spliced path built.
 A block gives each per-replicate value once, as a (rows,) array, and each
 per-method value as a (2, rows) array, the fill method on axis 0 in
 ``METHODS`` order.
@@ -89,7 +90,7 @@ from .generators import (
     spec_from_dict,
     spec_to_dict,
 )
-from .metrics import path_lengths, radii_of_gyration
+from .metrics import path_lengths, radii_of_gyration, spliced_radii_of_gyration
 from .seeding import child_states, rngs_from_words
 
 PATH_LENGTH_KIND = "path-length"
@@ -100,8 +101,9 @@ METHODS = ("bridge", "linear")
 
 DEFAULT_MASTER_SEED = 20260301
 
-# Path points held per block of run-table rows: a rog block of about 130
-# 1000-point rows keeps its largest arrays near 4 MB each.
+# Path points held per block of run-table rows: a rog block of 131
+# 1000-point rows keeps its largest arrays (the paths, the fill noise and
+# the fills) near 2.1 MB each.
 _BLOCK_POINTS = 1 << 17
 
 @dataclass(frozen=True)
@@ -219,10 +221,10 @@ class ExperimentReport:
         return tuple(dict(zip(self.columns, row)) for row in zip(*self.columns.values()))
 
 
-def _params_label(spec: ModelSpec) -> str:
-    d = spec_to_dict(spec)
-    d.pop("model")
-    return ";".join(f"{k}={d[k]:g}" for k in sorted(d))
+def _params_label(model: dict) -> str:
+    """The parameters of ``model``, a ``spec_to_dict`` mapping, as
+    ``key=value`` pairs in key order, joined by ``;``."""
+    return ";".join(f"{k}={model[k]:g}" for k in sorted(model) if k != "model")
 
 
 def _ratios(estimated: np.ndarray, true: np.ndarray) -> np.ndarray:
@@ -247,10 +249,8 @@ def _run_block(config: ExperimentConfig, seeds: np.ndarray, words: np.ndarray,
     coords = generate_many(specs, config.steps, rngs_from_words(words[lo:hi, 0]))
     times = np.arange(config.steps + 1, dtype=float)
     left, right = config.gap_start - 1, config.gap_start + config.gap_count
-    sigma = estimate_sigmas(
-        np.concatenate([times[:left + 1], times[right:]]),
-        np.concatenate([coords[:, :left + 1], coords[:, right:]], axis=1),
-    )
+    observed = np.concatenate([coords[:, :left + 1], coords[:, right:]], axis=1)
+    sigma = estimate_sigmas(np.concatenate([times[:left + 1], times[right:]]), observed)
     duration = times[right] - times[left]
     shared = {"seed": seeds[lo:hi, 0], "sigma_hat": sigma}
 
@@ -272,13 +272,12 @@ def _run_block(config: ExperimentConfig, seeds: np.ndarray, words: np.ndarray,
     noise = np.zeros((2, m, k, 2))
     for i, rng in enumerate(rngs_from_words(words[lo:hi, 1])):
         rng.standard_normal(out=noise[0, i])
-    filled = np.array([coords, coords])
-    filled[:, :, left + 1:right] = _kernels.bridge_paths(
+    fills = _kernels.bridge_paths(
         coords[:, -1], coords[:, right], duration, [sigma, np.zeros(m)],
         times[left + 1:right] - times[left], noise,
     )
     rog_before = radii_of_gyration(coords)
-    rog_after = radii_of_gyration(filled)
+    rog_after = spliced_radii_of_gyration(observed, fills)
     return {**shared, "rog_before": rog_before, "rog_after": rog_after,
             "rog_error": _ratios(rog_after, rog_before)}
 
@@ -324,16 +323,12 @@ def _statistics(values: list[float]) -> dict:
     }
 
 
-def _summarise_cell(kind: str, spec: ModelSpec, method: str,
-                    columns: dict[str, list[float]]) -> dict:
+def _summarise_cell(kind: str, columns: dict[str, list[float]]) -> dict:
+    """The statistics of one (model, method) cell from its slice of the
+    score columns."""
     value_key = "length_ratio" if kind == PATH_LENGTH_KIND else "rog_error"
     values = [v for v in columns[value_key] if math.isfinite(v)]
-    cell = {
-        "model": spec_to_dict(spec),
-        "params": _params_label(spec),
-        "method": method,
-        "count": len(values),
-    }
+    cell = {"count": len(values)}
     try:
         cell.update(_statistics(values))
         if kind == ROG_KIND:
@@ -369,18 +364,21 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         (name, np.broadcast_to(np.concatenate([p[name] for p in parts], axis=-1),
                                (2, rows)).T.ravel().tolist())
         for name in parts[0])
+    models = [spec_to_dict(spec) for spec in config.models]
+    labels = [_params_label(model) for model in models]
     columns = dict([
         ("model", np.repeat([spec.model for spec in config.models], 2 * reps).tolist()),
-        ("params", np.repeat([_params_label(spec) for spec in config.models],
-                             2 * reps).tolist()),
+        ("params", np.repeat(labels, 2 * reps).tolist()),
         ("replicate", (np.arange(2 * rows) // 2 % reps).tolist()),
         seed, sigma_hat, ("method", list(METHODS) * rows), *scores,
     ])
     # Cell c's method-j records are every second record of its 2 * reps.
     cells = [
-        _summarise_cell(config.kind, spec, method, {
-            name: values[2 * c * reps + j:2 * (c + 1) * reps:2] for name, values in scores})
-        for c, spec in enumerate(config.models) for j, method in enumerate(METHODS)
+        {"model": model, "params": label, "method": method,
+         **_summarise_cell(config.kind, {
+             name: values[2 * c * reps + j:2 * (c + 1) * reps:2] for name, values in scores})}
+        for c, (model, label) in enumerate(zip(models, labels))
+        for j, method in enumerate(METHODS)
     ]
     summary = {
         "kind": config.kind,

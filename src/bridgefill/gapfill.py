@@ -15,6 +15,7 @@ import numpy as np
 from . import _kernels
 from .bridge import expected_path_length
 from .errors import DomainError
+from .metrics import spliced_radii_of_gyration
 from .seeding import make_rng
 from .trajectory import GappedTrajectory
 
@@ -84,36 +85,19 @@ def estimate_gap_rog(
     """Mean radius of gyration of the spliced path over independent bridge
     fills.
 
-    Every point is taken relative to the observed centroid ``c``, which keeps
-    the sums small at large coordinates. The observed points enter through
-    ``S2 = sum |o - c|^2`` and ``S1 = sum (o - c)``, computed once; each
-    realisation's ``N`` points then have
-    ``RoG^2 = (S2 + sum |f - c|^2) / N - |(S1 + sum (f - c)) / N|^2``, so
-    the cost is O(n + m k) for n observed points, m realisations and k
-    missing points, not O(m (n + k)). Aggregation uses exact summation, so
-    the result does not depend on the order realisations are processed in.
-    ``std_error`` is NaN for a single realisation.
+    ``metrics.spliced_radii_of_gyration`` scores all ``realisations`` fills
+    at once from sums about the observed centroid, in O(n + m k) for n
+    observed points, m realisations and k missing points. Aggregation uses
+    exact summation, so the result does not depend on the order
+    realisations are processed in. ``std_error`` is NaN for a single
+    realisation.
     """
     if realisations < 1:
         raise DomainError(f"realisations must be >= 1, got {realisations}")
     fills = _bridges(gapped, sigma_m, realisations, rng)
-    coords = gapped.observed.coords
-    observed = np.empty_like(coords)
-    n_total = len(coords) + gapped.n_missing
+    rogs = spliced_radii_of_gyration(gapped.observed.coords, fills)
+    mean = math.fsum(rogs) / realisations
     with np.errstate(over="ignore", invalid="ignore"):
-        # A cumulative sum's last entry sums the points in numpy's sequential
-        # order; centring runs per coordinate plane.
-        for i in range(2):
-            centre = np.cumsum(coords[:, i])[-1] / len(coords)
-            np.subtract(coords[:, i], centre, out=observed[:, i])
-            fills[..., i] -= centre
-        sum_sq = (observed ** 2).sum() + (fills ** 2).sum(axis=(1, 2))
-        # In place: neither array is read again.
-        np.cumsum(observed, axis=0, out=observed)
-        np.cumsum(fills, axis=1, out=fills)
-        offset = (observed[-1] + (fills[:, -1] if gapped.n_missing else 0.0)) / n_total
-        rogs = np.sqrt(sum_sq / n_total - (offset[..., 0] ** 2 + offset[..., 1] ** 2))
-        mean = math.fsum(rogs) / realisations
         squares = (rogs - mean) ** 2
     if realisations == 1:
         return GapRogEstimate(mean=mean, std_error=math.nan, realisations=1)

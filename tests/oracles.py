@@ -39,7 +39,6 @@ from bridgefill.trajectory import (
     GappedTrajectory,
     Trajectory,
     excise_gap,
-    splice_fill,
 )
 
 
@@ -183,7 +182,8 @@ def estimate_sigmas_interleaved(times, coords):
 def gap_rogs_interleaved(observed, fills):
     """RoG of the observed points (n, 2) spliced with each fill of
     ``fills`` (m, k, 2), from running sums about the observed centroid, as
-    ``gapfill.estimate_gap_rog`` computes them, on the (..., 2) layout."""
+    ``metrics.spliced_radii_of_gyration`` computes them, on the (..., 2)
+    layout."""
     centre = observed.mean(axis=0)
     observed = observed - centre
     fills = fills - centre
@@ -415,7 +415,8 @@ def expected_rog_squared(gapped, sigma_m: float, start=None) -> float:
 def experiment_records(config) -> list[dict]:
     """The records of ``run_experiment(config)``, built one replicate at a
     time: generate, excise, estimate, then score the closed-form length or
-    splice each fill and compare radii of gyration."""
+    compare the path's radius of gyration with each fill's spliced one,
+    from ``gap_rogs_interleaved``."""
     records = []
     for cell, spec in enumerate(config.models):
         d = spec_to_dict(spec)
@@ -445,8 +446,8 @@ def experiment_records(config) -> list[dict]:
             rog_before = float(radii_of_gyration(traj.coords))
             for method, sigma in zip(METHODS, (base["sigma_hat"], 0.0)):
                 fill = fill_gap(loop, sigma, fill_seed)
-                rog_after = float(radii_of_gyration(
-                    splice_fill(gapped, fill, method).coords))
+                rog_after = float(
+                    gap_rogs_interleaved(gapped.observed.coords, fill[None])[0])
                 records.append({**base, "method": method, "rog_before": rog_before,
                                 "rog_after": rog_after,
                                 "rog_error": _ratio(rog_after, rog_before)})

@@ -176,6 +176,16 @@ class TestFill:
                      "--out", str(tmp_path / "o.csv")]) == 3
         assert "bridgefill: error: a^2 / (4b) must be finite" in capsys.readouterr().err
 
+    def test_overflowing_variance_is_data_error(self, path_csv, tmp_path, capsys):
+        # sigma_m is finite, but the variance sigma_m^2 T k of a bridge
+        # through k missing points is not; the message names its factors.
+        out = tmp_path / "o.csv"
+        assert _fill(path_csv, out, "--sigma", "1e308") == 3
+        assert ("bridgefill: error: sigma_m^2 * duration * (segments - 1) must be "
+                "finite, got sigma_m 1e+308, duration 11.0 and segments - 1 = 10"
+                ) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_overflowing_linear_fill_is_data_error(self, tmp_path, capsys):
         src, out = tmp_path / "in.csv", tmp_path / "o.csv"
         src.write_text("t,x,y\n0,0,0\n1,0,0\n2,2e154,0\n")

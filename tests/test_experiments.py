@@ -132,9 +132,8 @@ def test_zero_length_gap_keeps_summary_strict_json(tmp_path):
 
 
 def test_summary_statistics_skip_non_finite_values():
-    spec = default_config("path-length").models[0]
     values = np.array([math.inf, 2.0, 4.0, math.nan])
-    cell = _summarise_cell("path-length", spec, "bridge", {"length_ratio": values})
+    cell = _summarise_cell("path-length", {"length_ratio": values})
     assert cell["count"] == 2
     assert cell["mean_error"] == 3.0
     assert cell["quartiles"] == [2.5, 3.0, 3.5]
@@ -160,8 +159,8 @@ GOLDEN = {
     ),
     "rog-loop": (
         default_config("rog", replicates=3),
-        "89675a3b1d2b67dfdd99e1d7b78ebeea7aa6591255a027973add875f6aaa3eb8",
-        "1b331038ad4466e8367470fab46ff984474df710156787e13dd584be7695b733",
+        "fadf58f8513a94170b6c2ee64911a29ba2533133b16901d217b7bff680d80370",
+        "6421422dcee57eb427965feec6990cd65b30a64d98793c3347fd7fb0bbd64ebb",
     ),
     "path-length-default": (
         default_config("path-length"),
@@ -170,8 +169,8 @@ GOLDEN = {
     ),
     "rog-loop-default": (
         default_config("rog"),
-        "35676dc9e23635a40e1f2b1d5fc1d0f38d4a6fd8c78a070e99209abc4336a565",
-        "27eefc1f5318e0d39183f02384618419a7c53b44b7ebb417bdae8d4ec1ecf31b",
+        "c50c109cee9ecd4aaab52e00ac1552d114190089400bcc4a079ec473e93e0098",
+        "27f455d2e8ebc79a30f4d7a6e749925c0f6c7e531997a9cf605a43509034ea1b",
     ),
 }
 
@@ -295,6 +294,7 @@ def test_replicate_blocks_do_not_change_reports(monkeypatch, config, rows):
     monkeypatch.setattr(experiments, "_BLOCK_POINTS", rows * (config.steps + 1))
     blocked = run_experiment(config)
     assert list(blocked.records) == experiment_records(config)
+    assert blocked.columns == whole.columns
     assert blocked.summary == whole.summary
 
 
