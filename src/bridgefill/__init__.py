@@ -15,7 +15,6 @@ synthetic movement models, gap handling, and the two batch experiments.
 """
 
 from ._version import __version__
-from ._kernels import BACKEND
 from .bridge import expected_path_length, rice_mean
 from .errors import (
     BridgefillError,
@@ -64,6 +63,10 @@ from .trajectory import (
     splice_fill,
     write_trajectory_csv,
 )
+
+# Recorded in the benchmark's environment block (bench/run.py); numpy is the
+# only implementation.
+BACKEND = "numpy"
 
 __all__ = [
     "__version__",

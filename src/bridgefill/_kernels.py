@@ -14,10 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# Recorded in the benchmark's environment block (bench/run.py); numpy is the
-# only implementation.
-BACKEND = "numpy"
-
 
 def bridge_paths(start, end, duration, sigma_m, times, noise):
     """Bridges from ``start`` at 0 to ``end`` at ``duration`` at the

@@ -209,8 +209,8 @@ def _cmd_experiment(args, parser) -> int:
     data = {}
     if args.config is not None:
         try:
-            text = Path(args.config).read_text(encoding="utf-8")
-            data = json.loads(text.removeprefix("\ufeff"))  # as some editors save it
+            # The codec drops a leading byte-order mark, as some editors save one.
+            data = json.loads(Path(args.config).read_text(encoding="utf-8-sig"))
         except ValueError as exc:  # also undecodable bytes and huge integers
             raise InvalidSpecError(f"{args.config}: not a JSON config: {exc}") from None
         if not isinstance(data, dict):

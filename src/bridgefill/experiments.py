@@ -102,8 +102,8 @@ METHODS = ("bridge", "linear")
 DEFAULT_MASTER_SEED = 20260301
 
 # Path points held per block of run-table rows: a rog block of 131
-# 1000-point rows keeps its largest arrays (the paths, the fill noise and
-# the fills) near 2.1 MB each.
+# 1000-point rows keeps its largest arrays, the paths and the fills, near
+# 2.1 MB each, and its fill noise near 1.05 MB.
 _BLOCK_POINTS = 1 << 17
 
 @dataclass(frozen=True)
@@ -265,16 +265,16 @@ def _run_block(config: ExperimentConfig, seeds: np.ndarray, words: np.ndarray,
         return {**shared, "true_length": true_length, "estimated_length": estimated,
                 "length_ratio": _ratios(estimated, true_length)}
 
-    # Both fills of every replicate in one kernel call, along a method axis:
-    # a bridge draws from its replicate's own fill stream, and the straight
+    # Both fills of every replicate in one kernel call, along a method axis,
+    # reading one draw from the replicate's own fill stream: the straight
     # line is the bridge with sigma 0.
     m, k = hi - lo, config.gap_count
-    noise = np.zeros((2, m, k, 2))
+    noise = np.empty((m, k, 2))
     for i, rng in enumerate(rngs_from_words(words[lo:hi, 1])):
-        rng.standard_normal(out=noise[0, i])
+        rng.standard_normal(out=noise[i])
     fills = _kernels.bridge_paths(
         coords[:, -1], coords[:, right], duration, [sigma, np.zeros(m)],
-        times[left + 1:right] - times[left], noise,
+        times[left + 1:right] - times[left], np.broadcast_to(noise, (2, m, k, 2)),
     )
     rog_before = radii_of_gyration(coords)
     rog_after = spliced_radii_of_gyration(observed, fills)
@@ -364,7 +364,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         (name, np.broadcast_to(np.concatenate([p[name] for p in parts], axis=-1),
                                (2, rows)).T.ravel().tolist())
         for name in parts[0])
-    models = [spec_to_dict(spec) for spec in config.models]
+    config_dict = config_to_dict(config)
+    models = config_dict["models"]
     labels = [_params_label(model) for model in models]
     columns = dict([
         ("model", np.repeat([spec.model for spec in config.models], 2 * reps).tolist()),
@@ -382,7 +383,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     ]
     summary = {
         "kind": config.kind,
-        "config": config_to_dict(config),
+        "config": config_dict,
         "version": __version__,
         "cells": cells,
     }

@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    BridgefillError,
     CsvFormatError,
     NonFiniteError,
     NonMonotonicTimeError,
@@ -252,15 +253,16 @@ def _bad_row(path: str | Path, n_fields: int) -> str | None:
 def read_trajectory_csv(path: str | Path) -> Trajectory:
     """Read a trajectory CSV written by :func:`write_trajectory_csv`.
 
-    Raises CsvFormatError on a bad header or row, naming the row's file
-    line, or on bytes that do not decode as text, and NonFiniteError on NaN
-    or infinite values.
+    Every data error names the file: CsvFormatError on a bad header or row,
+    naming the row's file line, or on bytes that do not decode as text;
+    NonFiniteError on NaN or infinite values; NonMonotonicTimeError on
+    timestamps that do not strictly increase.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
-            # A byte-order mark, as spreadsheet "CSV UTF-8" exports write,
-            # can only start the header line.
-            header = fh.readline().removeprefix("\ufeff")
+        # The codec drops a leading byte-order mark, as spreadsheet
+        # "CSV UTF-8" exports write.
+        with open(path, encoding="utf-8-sig") as fh:
+            header = fh.readline()
             if not header:
                 raise CsvFormatError(f"{path}: empty file")
             header = [h.strip() for h in header.rstrip("\n").split(",")]
@@ -290,10 +292,8 @@ def read_trajectory_csv(path: str | Path) -> Trajectory:
         raise CsvFormatError(f"{path}: not readable as text: {exc}") from None
     if len(rows) == 0:
         raise CsvFormatError(f"{path}: no data rows")
-    times = rows["t"]
-    coords = np.column_stack([rows["x"], rows["y"]])
-    if not (np.isfinite(times).all() and np.isfinite(coords).all()):
-        raise NonFiniteError(f"{path}: non-finite values")
-    return Trajectory(
-        times, coords, tuple(rows["source"]) if with_source else None
-    )
+    try:
+        return Trajectory(rows["t"], np.column_stack([rows["x"], rows["y"]]),
+                          tuple(rows["source"]) if with_source else None)
+    except BridgefillError as exc:
+        raise type(exc)(f"{path}: {exc}") from None

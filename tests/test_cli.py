@@ -311,6 +311,15 @@ class TestGapAndMetrics:
         assert got["rog"] == pytest.approx(
             np.sqrt(np.mean(np.sum((c - c.mean(axis=0)) ** 2, axis=1))), rel=1e-12)
 
+    def test_repeated_timestamp_is_data_error_naming_the_file(self, tmp_path, capsys):
+        src = tmp_path / "in.csv"
+        src.write_text("t,x,y\n0,0,0\n1,1,1\n1,2,2\n")
+        assert main(["metrics", "--in", str(src)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"bridgefill: error: {src}: timestamps must be strictly increasing")
+
     # Numpy's overflow warnings are errors in this suite, so this also checks
     # that the overflowing radius of gyration stays silent.
     def test_overflowing_metrics_are_data_error(self, tmp_path, capsys):

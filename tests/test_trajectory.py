@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bridgefill import trajectory
 from bridgefill.errors import (
     CsvFormatError,
     NonFiniteError,
@@ -363,8 +364,27 @@ class TestCsv:
     def test_non_finite_value_rejected(self, tmp_path, value):
         path = tmp_path / "t.csv"
         path.write_text(f"t,x,y\n0,0,0\n1,{value},1\n")
-        with pytest.raises(NonFiniteError):
+        with pytest.raises(NonFiniteError) as info:
             read_trajectory_csv(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    def test_repeated_timestamp_names_the_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("t,x,y\n0,0,0\n1,1,1\n1,2,2\n")
+        with pytest.raises(NonMonotonicTimeError) as info:
+            read_trajectory_csv(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    def test_unlocated_bad_row_keeps_numpy_reason(self, tmp_path, monkeypatch):
+        # When no line can be named, the message is the file and numpy's own.
+        monkeypatch.setattr(trajectory, "_bad_row", lambda path, n_fields: None)
+        path = tmp_path / "bad.csv"
+        path.write_text("t,x,y\n0,zero,0\n")
+        with pytest.raises(CsvFormatError) as info:
+            read_trajectory_csv(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}: ")
+        assert "could not convert string 'zero' to float" in message
 
     def test_source_labels_round_trip(self, tmp_path):
         path = tmp_path / "t.csv"
