@@ -79,10 +79,6 @@ def _parse_params(pairs: list[str], parser: argparse.ArgumentParser) -> dict:
     return params
 
 
-def _model_spec(args, parser: argparse.ArgumentParser):
-    return spec_from_dict({"model": args.model, **_parse_params(args.param, parser)})
-
-
 def _detect_gap(traj: Trajectory) -> GappedTrajectory:
     """Auto-detect one run of missing integer timestamps: the one place
     where consecutive timestamps are more than 1 apart."""
@@ -110,14 +106,8 @@ def _detect_gap(traj: Trajectory) -> GappedTrajectory:
     return GappedTrajectory(traj, split, missing.astype(float))
 
 
-def _gapped_from_args(traj: Trajectory, args) -> GappedTrajectory:
-    if args.gap_start is None:
-        return _detect_gap(traj)
-    return excise_gap(traj, args.gap_start, args.gap_count)
-
-
 def _cmd_simulate(args, parser) -> int:
-    spec = _model_spec(args, parser)
+    spec = spec_from_dict({"model": args.model, **_parse_params(args.param, parser)})
     traj = generate(spec, args.steps, args.seed)
     write_trajectory_csv(args.out, traj)
     return 0
@@ -165,7 +155,8 @@ def _cmd_fill(args, parser) -> int:
     if (args.gap_start is None) != (args.gap_count is None):
         parser.error("--gap-start and --gap-count must be given together")
     traj = read_trajectory_csv(args.infile)
-    gapped = _gapped_from_args(traj, args)
+    gapped = (_detect_gap(traj) if args.gap_start is None
+              else excise_gap(traj, args.gap_start, args.gap_count))
     summary: dict = {
         "method": args.method,
         "n_missing": gapped.n_missing,

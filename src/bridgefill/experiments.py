@@ -25,10 +25,11 @@ steps and the gap, so the table runs in blocks of rows that bound memory
 and may span cells. Every stage makes one call over a block's rows: one
 ``generate_many`` call with each row's model spec (``generators`` groups
 the rows by model), excision by slicing at fixed indices, one estimator
-fit, then either the path lengths and chords or, for ``rog``, one kernel
-call that builds both fills of every row (the straight line being the
-bridge with sigma 0) and one ``spliced_radii_of_gyration`` call that
-scores them against the observed points, with no spliced path built.
+fit, then either the path lengths and chords or, for ``rog``, per fill
+method one kernel call that builds that method's fill of every row (the
+straight line being the bridge with sigma 0) and one
+``spliced_radii_of_gyration`` call that scores it against the observed
+points, with no spliced path built.
 A block gives each per-replicate value once, as a (rows,) array, and each
 per-method value as a (2, rows) array, the fill method on axis 0 in
 ``METHODS`` order.
@@ -76,7 +77,7 @@ import numpy as np
 from . import _kernels
 from ._version import __version__
 from .bridge import expected_path_length
-from .errors import InvalidSpecError, NonFiniteError
+from .errors import DomainError, InvalidSpecError, NonFiniteError
 from .estimator import estimate_sigmas
 from .generators import (
     AngularWalk,
@@ -102,8 +103,8 @@ METHODS = ("bridge", "linear")
 DEFAULT_MASTER_SEED = 20260301
 
 # Path points held per block of run-table rows: a rog block of 131
-# 1000-point rows keeps its largest arrays, the paths and the fills, near
-# 2.1 MB each, and its fill noise near 1.05 MB.
+# 1000-point rows keeps its paths near 2.1 MB, and its fill noise and each
+# method's fill near 1.05 MB each.
 _BLOCK_POINTS = 1 << 17
 
 @dataclass(frozen=True)
@@ -237,6 +238,16 @@ def _ratios(estimated: np.ndarray, true: np.ndarray) -> np.ndarray:
     return out
 
 
+def _bridge_length(sigma: float, duration: float, chord: list[float],
+                   segments: int) -> float:
+    """``expected_path_length``, or NaN for a row it cannot score: a sigma
+    or a bridge variance beyond the float range."""
+    try:
+        return expected_path_length(sigma, duration, chord, segments)
+    except DomainError:
+        return math.nan
+
+
 def _run_block(config: ExperimentConfig, seeds: np.ndarray, words: np.ndarray,
                lo: int, hi: int) -> dict[str, np.ndarray]:
     """Rows ``lo:hi`` of the run table, which may span cells: the record
@@ -251,33 +262,33 @@ def _run_block(config: ExperimentConfig, seeds: np.ndarray, words: np.ndarray,
     left, right = config.gap_start - 1, config.gap_start + config.gap_count
     observed = np.concatenate([coords[:, :left + 1], coords[:, right:]], axis=1)
     sigma = estimate_sigmas(np.concatenate([times[:left + 1], times[right:]]), observed)
-    duration = times[right] - times[left]
+    duration = float(right - left)
     shared = {"seed": seeds[lo:hi, 0], "sigma_hat": sigma}
 
     if config.kind == PATH_LENGTH_KIND:
         true_length = path_lengths(coords[:, left:right + 1])
         chord = coords[:, right] - coords[:, left]
         estimated = np.array([
-            [expected_path_length(s, duration, d, config.gap_count + 1)
+            [_bridge_length(s, duration, d, config.gap_count + 1)
              for s, d in zip(sigma.tolist(), chord.tolist())],
             np.hypot(chord[:, 0], chord[:, 1]),
         ])
         return {**shared, "true_length": true_length, "estimated_length": estimated,
                 "length_ratio": _ratios(estimated, true_length)}
 
-    # Both fills of every replicate in one kernel call, along a method axis,
-    # reading one draw from the replicate's own fill stream: the straight
-    # line is the bridge with sigma 0.
-    m, k = hi - lo, config.gap_count
-    noise = np.empty((m, k, 2))
+    # One draw from each replicate's own fill stream serves both methods:
+    # the straight line is the bridge with sigma 0. Each method's fills are
+    # scored as soon as one kernel call builds them, so only one (rows, k, 2)
+    # fill is alive at a time.
+    noise = np.empty((hi - lo, config.gap_count, 2))
     for i, rng in enumerate(rngs_from_words(words[lo:hi, 1])):
         rng.standard_normal(out=noise[i])
-    fills = _kernels.bridge_paths(
-        coords[:, -1], coords[:, right], duration, [sigma, np.zeros(m)],
-        times[left + 1:right] - times[left], np.broadcast_to(noise, (2, m, k, 2)),
-    )
+    shift = times[left + 1:right] - times[left]
+    rog_after = np.array([
+        spliced_radii_of_gyration(observed, _kernels.bridge_paths(
+            coords[:, -1], coords[:, right], duration, s, shift, noise))
+        for s in (sigma, 0.0)])  # METHODS order
     rog_before = radii_of_gyration(coords)
-    rog_after = spliced_radii_of_gyration(observed, fills)
     return {**shared, "rog_before": rog_before, "rog_after": rog_after,
             "rog_error": _ratios(rog_after, rog_before)}
 

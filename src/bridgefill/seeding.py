@@ -25,10 +25,13 @@ import numpy as np
 
 
 def make_rng(seed: int | np.random.Generator) -> np.random.Generator:
-    """Return a PCG64 generator; an existing Generator passes through."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
+    """``np.random.default_rng(seed)``: PCG64 seeded through
+    ``SeedSequence(seed)``, and an existing Generator passes through. A
+    non-integer seed, such as 2.5, raises TypeError, and so does None,
+    for which numpy would seed from fresh OS entropy."""
+    if seed is None:
+        raise TypeError("a seed is required: None gives no reproducible stream")
+    return np.random.default_rng(seed)
 
 
 def child_seed(master_seed: int, *key: int) -> int:

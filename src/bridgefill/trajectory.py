@@ -266,17 +266,12 @@ def read_trajectory_csv(path: str | Path) -> Trajectory:
             if not header:
                 raise CsvFormatError(f"{path}: empty file")
             header = [h.strip() for h in header.rstrip("\n").split(",")]
-            if header == ["t", "x", "y"]:
-                with_source = False
-            elif header == ["t", "x", "y", "source"]:
-                with_source = True
-            else:
+            if header not in (["t", "x", "y"], ["t", "x", "y", "source"]):
                 raise CsvFormatError(
                     f"{path}: expected header 't,x,y' or 't,x,y,source', got {header}"
                 )
-            dtype = [("t", float), ("x", float), ("y", float)]
-            if with_source:
-                dtype.append(("source", object))
+            with_source = len(header) == 4
+            dtype = [(name, object if name == "source" else float) for name in header]
             try:
                 with warnings.catch_warnings():
                     # a header-only file is reported below as "no data rows"

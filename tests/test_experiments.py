@@ -149,6 +149,27 @@ def test_overflowing_std_dev_raises():
         run_experiment(config)
 
 
+@pytest.mark.parametrize("sigma", [1e200, 1e153])
+def test_unscorable_bridge_rows_record_nan(sigma):
+    # At 1e200 the fitted sigma overflows to inf; at 1e153 it is finite but
+    # its bridge variance overflows. Either way the bridge length cannot be
+    # scored, while the chord can. Warnings are errors here, so the run
+    # must not leak numpy's overflow warning either.
+    config = config_from_dict({
+        "kind": "path-length", "replicates": 2,
+        "models": [{"model": "discrete-brownian", "sigma": sigma}]})
+    report = run_experiment(config)
+    columns = report.columns
+    for method, length, ratio in zip(columns["method"], columns["estimated_length"],
+                                     columns["length_ratio"]):
+        if method == "bridge":
+            assert math.isnan(length) and math.isnan(ratio)
+        else:
+            assert math.isfinite(length) and math.isfinite(ratio)
+    counts = {cell["method"]: cell["count"] for cell in report.summary["cells"]}
+    assert counts == {"bridge": 0, "linear": 2}
+
+
 # sha256 of the reports at the default master seed, at 3 replicates and at
 # the default 1000, whose blocks of rows span cells.
 GOLDEN = {

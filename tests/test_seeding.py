@@ -46,6 +46,12 @@ def test_make_rng_passes_a_generator_through():
     assert make_rng(rng) is rng
 
 
+@pytest.mark.parametrize("seed", [2.5, 2.0, None])
+def test_make_rng_rejects_a_non_integer_seed(seed):
+    with pytest.raises(TypeError):
+        make_rng(seed)
+
+
 def test_equal_seeds_give_equal_streams():
     seed = child_seed(11, 2, 3)
     a, b = make_rng(seed), make_rng(seed)

@@ -247,9 +247,11 @@ class TestCsv:
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("time,x,y\n0,0,0\n")
-        with pytest.raises(CsvFormatError):
-            read_trajectory_csv(path)
+        for header in ("time,x,y", "x,t,y", "t,x", "t,x,source",
+                       "t,x,y,source,extra", "source,t,x,y"):
+            path.write_text(f"{header}\n0,0,0\n")
+            with pytest.raises(CsvFormatError, match="expected header"):
+                read_trajectory_csv(path)
 
     def test_bad_value_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
