@@ -18,10 +18,11 @@ import numpy as np
 def bridge_paths(start, end, duration, sigma_m, times, noise):
     """Bridges from ``start`` at 0 to ``end`` at ``duration`` at the
     interior ``times`` (k,), driven by standard normals ``noise`` (..., k, 2)
-    with any leading batch shape, such as (m,) paths or (methods, m);
-    returns positions of the shape of ``noise``. ``start`` and ``end``
-    broadcast as (..., 2) points and ``sigma_m`` as (...), so each may be
-    shared or given per path.
+    with any leading batch shape; returns positions of the shape of
+    ``noise``. The callers pass (m,): ``gapfill``'s m realisations of one
+    gap, and the ``rog`` experiment block's m rows, once per fill method.
+    ``start`` and ``end`` broadcast as (..., 2) points and ``sigma_m`` as
+    (...), so each may be shared or given per path.
 
     Exact at any interior times, with pinned endpoints: at time t a point
     is Gaussian around the chord with per-coordinate variance

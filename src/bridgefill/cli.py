@@ -106,21 +106,19 @@ def _detect_gap(traj: Trajectory) -> GappedTrajectory:
     return GappedTrajectory(traj, split, missing.astype(float))
 
 
-def _cmd_simulate(args, parser) -> int:
+def _cmd_simulate(args, parser) -> None:
     spec = spec_from_dict({"model": args.model, **_parse_params(args.param, parser)})
     traj = generate(spec, args.steps, args.seed)
     write_trajectory_csv(args.out, traj)
-    return 0
 
 
-def _cmd_gap(args, parser) -> int:
+def _cmd_gap(args, parser) -> None:
     traj = read_trajectory_csv(args.infile)
     gapped = excise_gap(traj, args.gap_start, args.gap_count)
     write_trajectory_csv(args.out, gapped.observed)
-    return 0
 
 
-def _cmd_estimate(args, parser) -> int:
+def _cmd_estimate(args, parser) -> None:
     traj = read_trajectory_csv(args.infile)
     est = estimate_sigma(traj)
     print(_json_text({
@@ -130,20 +128,18 @@ def _cmd_estimate(args, parser) -> int:
         "n_skipped": est.n_skipped,
         "clamped": est.clamped,
     }))
-    return 0
 
 
-def _cmd_metrics(args, parser) -> int:
+def _cmd_metrics(args, parser) -> None:
     traj = read_trajectory_csv(args.infile)
     print(_json_text({
         "path_length": float(path_lengths(traj.coords)),
         "rog": float(radii_of_gyration(traj.coords)),
         "point_count": len(traj),
     }))
-    return 0
 
 
-def _cmd_fill(args, parser) -> int:
+def _cmd_fill(args, parser) -> None:
     if args.realisations < 1:
         parser.error(f"--realisations must be >= 1, got {args.realisations}")
     if args.sigma is not None and not (
@@ -191,10 +187,9 @@ def _cmd_fill(args, parser) -> int:
     text = _json_text(summary)  # before writing, so a non-finite result leaves no file
     write_trajectory_csv(args.out, filled)
     print(text)
-    return 0
 
 
-def _cmd_experiment(args, parser) -> int:
+def _cmd_experiment(args, parser) -> None:
     if args.kind is None and args.config is None:
         parser.error("experiment needs --kind or --config")
     data = {}
@@ -225,7 +220,6 @@ def _cmd_experiment(args, parser) -> int:
         "summary": str(summary_path),
         "record_count": len(report.columns["method"]),
     }))
-    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -237,6 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="simulate a movement model to CSV")
+    p.set_defaults(handler=_cmd_simulate)
     p.add_argument("--model", required=True, choices=MODEL_NAMES)
     p.add_argument("--param", action="append", default=[], metavar="KEY=VALUE")
     p.add_argument("--steps", type=int, required=True)
@@ -244,6 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("gap", help="remove points and write the observed rest")
+    p.set_defaults(handler=_cmd_gap)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--gap-start", type=int, required=True,
                    help="index of the first removed point")
@@ -251,9 +247,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("estimate", help="estimate the diffusion coefficient")
+    p.set_defaults(handler=_cmd_estimate)
     p.add_argument("--in", dest="infile", required=True)
 
     p = sub.add_parser("fill", help="fill a gap by bridge or straight line")
+    p.set_defaults(handler=_cmd_fill)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--gap-start", type=int, default=None,
                    help="index of the first point to remove before filling "
@@ -272,9 +270,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("metrics", help="path length and RoG of a CSV")
+    p.set_defaults(handler=_cmd_metrics)
     p.add_argument("--in", dest="infile", required=True)
 
     p = sub.add_parser("experiment", help="run a batch experiment")
+    p.set_defaults(handler=_cmd_experiment)
     p.add_argument("--kind", choices=KINDS, default=None)
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--replicates", type=int, default=None)
@@ -284,24 +284,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "simulate": _cmd_simulate,
-    "gap": _cmd_gap,
-    "estimate": _cmd_estimate,
-    "fill": _cmd_fill,
-    "metrics": _cmd_metrics,
-    "experiment": _cmd_experiment,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args, parser)
+        args.handler(args, parser)
     except (BridgefillError, OSError, MemoryError) as exc:
         print(f"bridgefill: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return DATA_ERROR
+    return 0
 
 
 if __name__ == "__main__":

@@ -174,8 +174,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     non-numeric or float-overflowing count, or models that are not a list
     of model mappings.
     """
-    types = {f.name: f.type for f in fields(ExperimentConfig)}
-    unknown = set(data) - set(types)
+    unknown = set(data) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise InvalidSpecError(f"unknown config field(s): {sorted(unknown)}")
     checked = {}
@@ -184,7 +183,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             if not isinstance(value, list):
                 raise InvalidSpecError(f"models must be a list, got {value!r}")
             value = tuple(spec_from_dict(m) for m in value)
-        elif types[key] == "int":  # annotations are strings in this module
+        elif key != "kind":  # every other field is a count or a seed
             if not _json_number(key, value).is_integer():
                 raise InvalidSpecError(f"{key} must be an integer, got {value!r}")
             value = int(value)
@@ -206,6 +205,8 @@ class ExperimentReport:
     per record. ``records`` is the same table as one dict per record, built
     on first read. Row dicts passed as ``records`` stand in for that view,
     so ``dataclasses.replace(report, records=rows)`` reads back ``rows``.
+    The ``records`` view and argument exist for the benchmark in ``bench/``
+    only; the package and its tests read ``columns``.
     """
     config: ExperimentConfig
     columns: dict[str, list]
@@ -224,8 +225,11 @@ class ExperimentReport:
 
 def _params_label(model: dict) -> str:
     """The parameters of ``model``, a ``spec_to_dict`` mapping, as
-    ``key=value`` pairs in key order, joined by ``;``."""
-    return ";".join(f"{k}={model[k]:g}" for k in sorted(model) if k != "model")
+    ``key=value`` pairs in key order, joined by ``;``. A value is written
+    ``:g`` when that reads back as the value and in full otherwise, so
+    distinct parameters give distinct labels."""
+    return ";".join(f"{k}={v:g}" if float(f"{v:g}") == v else f"{k}={float(v)!r}"
+                    for k, v in sorted(model.items()) if k != "model")
 
 
 def _ratios(estimated: np.ndarray, true: np.ndarray) -> np.ndarray:
@@ -345,11 +349,10 @@ def _summarise_cell(kind: str, columns: dict[str, list[float]]) -> dict:
         if kind == ROG_KIND:
             for key in ("rog_before", "rog_after"):
                 cell[f"mean_{key}"] = _mean([v for v in columns[key] if math.isfinite(v)])
+            histogram = Counter(f"{v:.1f}" for v in values)
+            cell["histogram"] = {k: histogram[k] for k in sorted(histogram, key=float)}
     except OverflowError:  # a sum or square of finite values beyond the float range
         raise NonFiniteError("a result is not finite: a summary sum overflows") from None
-    if kind == ROG_KIND:
-        histogram = Counter(f"{v:.1f}" for v in values)
-        cell["histogram"] = {k: histogram[k] for k in sorted(histogram, key=float)}
     return cell
 
 

@@ -99,8 +99,6 @@ def estimate_gap_rog(
     mean = math.fsum(rogs) / realisations
     with np.errstate(over="ignore", invalid="ignore"):
         squares = (rogs - mean) ** 2
-    if realisations == 1:
-        return GapRogEstimate(mean=mean, std_error=math.nan, realisations=1)
-    var = math.fsum(squares) / (realisations - 1)
+    var = math.fsum(squares) / (realisations - 1) if realisations > 1 else math.nan
     std_error = math.sqrt(var / realisations)
     return GapRogEstimate(mean=mean, std_error=std_error, realisations=realisations)

@@ -68,10 +68,8 @@ def _consts(init: int, mult: int, n: int) -> np.ndarray:
     """The hash constants ``init * mult**i mod 2**32`` for i in 0..n, as a
     read-only ``uint32`` column: hash i xors with row i and multiplies by
     row i + 1."""
-    out = [init]
-    for _ in range(n):
-        out.append(out[-1] * mult & _MASK32)
-    column = np.array(out, dtype=np.uint32)[:, None]
+    column = np.array([init * pow(mult, i, 1 << 32) & _MASK32 for i in range(n + 1)],
+                      dtype=np.uint32)[:, None]
     column.flags.writeable = False
     return column
 

@@ -412,16 +412,19 @@ def expected_rog_squared(gapped, sigma_m: float, start=None) -> float:
                  * (v.sum() / n - (v.sum() + 2.0 * cross) / n ** 2))
 
 
-def experiment_records(config) -> list[dict]:
-    """The records of ``run_experiment(config)``, built one replicate at a
-    time: generate, excise, estimate, then score the closed-form length or
-    compare the path's radius of gyration with each fill's spliced one,
-    from ``gap_rogs_interleaved``."""
+def experiment_columns(config) -> dict[str, list]:
+    """The record columns of ``run_experiment(config)``, built one
+    replicate at a time: generate, excise, estimate, then score the
+    closed-form length or compare the path's radius of gyration with each
+    fill's spliced one, from ``gap_rogs_interleaved``. Each record is a row
+    dict; the rows become columns on return."""
     records = []
     for cell, spec in enumerate(config.models):
         d = spec_to_dict(spec)
         model = d.pop("model")
-        params = ";".join(f"{k}={d[k]:g}" for k in sorted(d))
+        # ``:g`` unless it loses digits, then the full repr
+        params = ";".join(f"{k}={d[k]:g}" if float(f"{d[k]:g}") == d[k]
+                          else f"{k}={float(d[k])!r}" for k in sorted(d))
         for rep in range(config.replicates):
             seed = child_seed(config.master_seed, cell, rep, 0)
             traj = generate(spec, config.steps, seed)
@@ -451,4 +454,4 @@ def experiment_records(config) -> list[dict]:
                 records.append({**base, "method": method, "rog_before": rog_before,
                                 "rog_after": rog_after,
                                 "rog_error": _ratio(rog_after, rog_before)})
-    return records
+    return {name: [r[name] for r in records] for name in records[0]}

@@ -547,17 +547,24 @@ class TestGolden:
         assert hashlib.sha256(sim.read_bytes()).hexdigest() == (
             "3308a0530efd5a9d2156a1055169877cc7b6eec3c3dd62ca7a4752a69f5e96ef")
         capsys.readouterr()
-        assert main(["fill", "--in", str(sim), "--gap-start", "120",
-                     "--gap-count", "90", "--method", "bridge", "--seed", "5",
-                     "--realisations", "50", "--out", str(filled)]) == 0
+        fill = ["fill", "--in", str(sim), "--gap-start", "120", "--gap-count", "90",
+                "--method", "bridge", "--seed", "5", "--realisations", "50",
+                "--out", str(filled)]
+        assert main(fill) == 0
         assert hashlib.sha256(filled.read_bytes()).hexdigest() == (
             "2084a77dc79c5a668e32dcc062c0bc39af03bd90b3aa8921187c77de32591fcb")
-        summary = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f80462017f85babce2dd6c2342102b685980049d7b869f8f3a5f02dfb9bcd255")
+        summary = json.loads(out)
         # exact: any change to a summation order moves these bits
         assert summary["sigma_hat"] == 0.39949615843538105
         rog = summary["rog_estimate"]
         assert rog["mean"] == 27.483999943205795
         assert rog["std_error"] == 0.007156754659513178
+        assert main([*fill, "--sigma", "0.5"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "b0829b131e586e3d1f233d91300460525c5f551dac49a99c44888637aa164a68")
 
     def test_linear_fill_and_metrics(self, tmp_path, capsys):
         sim, filled = tmp_path / "sim.csv", tmp_path / "filled.csv"
@@ -574,6 +581,9 @@ class TestGolden:
         assert main(["metrics", "--in", str(sim)]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
             "e6915066b7f16db93e7f1c77e1a483bca3c6c81fbd75d86f6e9216454d3ff662")
+        assert main(["estimate", "--in", str(sim)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "73c6a653cfe52d823865f68997f49f3fc48c7581444c5300b7b302a8396d1577")
 
 
 def _traj(times):

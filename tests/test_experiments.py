@@ -19,12 +19,12 @@ from bridgefill.experiments import (
     write_records_csv,
     write_summary_json,
 )
-from bridgefill.generators import generate
+from bridgefill.generators import generate, spec_to_dict
 from bridgefill.metrics import radii_of_gyration
 from bridgefill.seeding import child_seed
 from bridgefill.trajectory import excise_gap
 
-from .oracles import expected_rog_squared, experiment_records
+from .oracles import expected_rog_squared, experiment_columns
 
 
 def test_rog_summary_is_byte_identical_across_runs(tmp_path):
@@ -103,11 +103,13 @@ def test_linear_fill_anchoring(gap_start, gap_count):
         default_config("rog", replicates=2, master_seed=3),
         steps=99, gap_start=gap_start, gap_count=gap_count,
     )
-    records = [r for r in run_experiment(config).records if r["method"] == "linear"]
-    assert len(records) == 2 * len(config.models)
-    for i, record in enumerate(records):
+    columns = run_experiment(config).columns
+    rog_after = [v for v, method in zip(columns["rog_after"], columns["method"])
+                 if method == "linear"]
+    assert len(rog_after) == 2 * len(config.models)
+    for i, value in enumerate(rog_after):
         cell, rep = divmod(i, config.replicates)
-        assert record["rog_after"] == pytest.approx(
+        assert value == pytest.approx(
             _linear_rog_after(config, cell, rep), rel=1e-12)
 
 
@@ -115,9 +117,11 @@ def test_zero_length_gap_keeps_summary_strict_json(tmp_path):
     # The uniformity-0 internal-state walker stands still through the gap
     # at this seed, so its bridge length ratio is inf.
     report = run_experiment(default_config("path-length", replicates=1, master_seed=7))
-    [record] = [r for r in report.records
-                if r["params"] == "step=1;uniformity=0" and r["method"] == "bridge"]
-    assert record["length_ratio"] == math.inf
+    columns = report.columns
+    [ratio] = [r for r, params, method in zip(
+        columns["length_ratio"], columns["params"], columns["method"])
+        if params == "step=1;uniformity=0" and method == "bridge"]
+    assert ratio == math.inf
     path = tmp_path / "summary.json"
     write_summary_json(report, path)
 
@@ -129,6 +133,22 @@ def test_zero_length_gap_keeps_summary_strict_json(tmp_path):
               if c["params"] == "step=1;uniformity=0" and c["method"] == "bridge"]
     assert cell["count"] == 0
     assert cell["mean_error"] is None and cell["quartiles"] is None
+
+
+def test_close_parameters_get_distinct_labels():
+    # The two sigmas agree to the 6 significant digits of ``:g``.
+    config = config_from_dict({
+        "kind": "path-length", "replicates": 2,
+        "models": [{"model": "angular-walk", "sigma": s} for s in (0.1000001, 0.1000002)]})
+    report = run_experiment(config)
+    labels = list(dict.fromkeys(report.columns["params"]))
+    assert [c["params"] for c in report.summary["cells"]] == [
+        label for label in labels for _ in range(2)]
+    assert len(labels) == 2
+    for label, spec in zip(labels, config.models):
+        parsed = dict(pair.split("=") for pair in label.split(";"))
+        params = {k: v for k, v in spec_to_dict(spec).items() if k != "model"}
+        assert {k: float(v) for k, v in parsed.items()} == params
 
 
 def test_summary_statistics_skip_non_finite_values():
@@ -230,8 +250,9 @@ def test_sigma_hat_follows_its_exact_law_on_brownian_cells():
     config = default_config("path-length", replicates=500)
     config = dataclasses.replace(config, models=config.models[:4])
     n = 49
-    sigma_hat = np.array([r["sigma_hat"] for r in run_experiment(config).records
-                          if r["method"] == "bridge"]).reshape(4, 500)
+    columns = run_experiment(config).columns
+    sigma_hat = np.array([s for s, method in zip(columns["sigma_hat"], columns["method"])
+                          if method == "bridge"]).reshape(4, 500)
     for spec, cell in zip(config.models, sigma_hat):
         result = stats.kstest(2 * n * (cell / spec.sigma) ** 2, stats.chi2(2 * n).cdf)
         assert result.pvalue > 1e-3, spec
@@ -257,7 +278,7 @@ def _small(kind, **fields):
         "rog-no-gap", "path-length-short", "rog-short-loop", "rog-short-end",
         "path-length-three-word-master", "rog-three-word-master"])
 def test_records_equal_per_replicate_reference(config):
-    assert list(run_experiment(config).records) == experiment_records(config)
+    assert run_experiment(config).columns == experiment_columns(config)
 
 
 @pytest.mark.parametrize("kind, scores", [
@@ -274,8 +295,7 @@ def test_columns_are_the_record_table(tmp_path, kind, scores):
     assert list(columns) == [
         "model", "params", "replicate", "seed", "sigma_hat", "method", *scores]
     assert {len(c) for c in columns.values()} == {2 * len(config.models) * 3}
-    assert [dict(zip(columns, row)) for row in zip(*columns.values())] == list(
-        report.records)
+    assert columns == experiment_columns(config)
 
 
 def test_rog_bridge_records_match_expected_rog_squared():
@@ -314,7 +334,7 @@ def test_replicate_blocks_do_not_change_reports(monkeypatch, config, rows):
     whole = run_experiment(config)
     monkeypatch.setattr(experiments, "_BLOCK_POINTS", rows * (config.steps + 1))
     blocked = run_experiment(config)
-    assert list(blocked.records) == experiment_records(config)
+    assert blocked.columns == experiment_columns(config)
     assert blocked.columns == whole.columns
     assert blocked.summary == whole.summary
 
