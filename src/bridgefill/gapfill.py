@@ -32,6 +32,9 @@ def _bridges(
     shape (n, n_missing, 2)."""
     if not (math.isfinite(sigma_m) and sigma_m >= 0.0):
         raise DomainError(f"sigma_m must be finite and >= 0, got {sigma_m!r}")
+    if n * gapped.n_missing * 2 * 8 > np.iinfo(np.intp).max:
+        raise DomainError(f"{n} bridges of {gapped.n_missing} points are too many "
+                          "for one float array")
     observed, left = gapped.observed, gapped.split - 1
     shifted = gapped.missing_times - observed.times[left]
     noise = make_rng(rng).standard_normal((n, gapped.n_missing, 2))

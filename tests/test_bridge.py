@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -158,6 +159,13 @@ class TestExpectedPathLength:
             expected_path_length(math.inf, 1.0, (1, 1), 5)
         with pytest.raises(DomainError, match="displacement must be finite"):
             expected_path_length(1.0, 1.0, (math.inf, 1), 5)
+
+    def test_overflowing_norm_names_displacement(self):
+        # Finite components whose norm overflows.
+        with pytest.raises(DomainError, match=re.escape(
+                "displacement must be finite in norm, got (1.5e+308, 1.5e+308) "
+                "of norm inf")):
+            expected_path_length(1.0, 1.0, (1.5e308, 1.5e308), 3)
 
 
 class TestSampledLengths:

@@ -168,13 +168,31 @@ class TestFill:
         assert not out.exists()
 
     def test_overflowing_rice_argument_is_data_error(self, tmp_path, capsys):
-        # sigma_m^2 T and the chord are finite, but the chord's square is not.
+        # sigma_m^2 T and the chord are finite, but the chord's square is not:
+        # the expected length is finite, the radius of gyration is not.
         src = tmp_path / "in.csv"
         src.write_text("t,x,y\n0,0,0\n1,0,0\n2,2e154,0\n")
         assert main(["fill", "--in", str(src), "--sigma", "9.4e153",
                      "--gap-start", "1", "--gap-count", "1",
                      "--out", str(tmp_path / "o.csv")]) == 3
-        assert "bridgefill: error: a^2 / (4b) must be finite" in capsys.readouterr().err
+        assert "bridgefill: error: a result is not finite" in capsys.readouterr().err
+
+    def test_overflowing_chord_norm_is_data_error(self, tmp_path, capsys):
+        # Both chord components are finite, but its norm is not.
+        src = tmp_path / "in.csv"
+        src.write_text("t,x,y\n0,0,0\n1,0,0\n2,1.5e308,1.5e308\n")
+        assert main(["fill", "--in", str(src), "--sigma", "1",
+                     "--gap-start", "1", "--gap-count", "1",
+                     "--out", str(tmp_path / "o.csv")]) == 3
+        assert ("bridgefill: error: displacement must be finite in norm, got "
+                "(1.5e+308, 1.5e+308) of norm inf") in capsys.readouterr().err
+
+    def test_too_many_realisations_is_data_error(self, path_csv, tmp_path, capsys):
+        # numpy refuses this noise array before allocating it
+        out = tmp_path / "o.csv"
+        assert _fill(path_csv, out, "--realisations", str(10**20)) == 3
+        assert capsys.readouterr().err.startswith("bridgefill: error: ")
+        assert not out.exists()
 
     def test_overflowing_variance_is_data_error(self, path_csv, tmp_path, capsys):
         # sigma_m is finite, but the variance sigma_m^2 T k of a bridge
@@ -555,7 +573,7 @@ class TestGolden:
             "2084a77dc79c5a668e32dcc062c0bc39af03bd90b3aa8921187c77de32591fcb")
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "f80462017f85babce2dd6c2342102b685980049d7b869f8f3a5f02dfb9bcd255")
+            "813454ca9ae54eef62356986b6a07b10c753ee54115bf742fe614d908bb000a7")
         summary = json.loads(out)
         # exact: any change to a summation order moves these bits
         assert summary["sigma_hat"] == 0.39949615843538105
@@ -564,7 +582,7 @@ class TestGolden:
         assert rog["std_error"] == 0.007156754659513178
         assert main([*fill, "--sigma", "0.5"]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
-            "b0829b131e586e3d1f233d91300460525c5f551dac49a99c44888637aa164a68")
+            "7c4da60c858fdca39dfe40f6d8b106a62a0e48b4c1b1b85df75d5b3c35b6b338")
 
     def test_linear_fill_and_metrics(self, tmp_path, capsys):
         sim, filled = tmp_path / "sim.csv", tmp_path / "filled.csv"

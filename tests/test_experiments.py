@@ -195,8 +195,8 @@ def test_unscorable_bridge_rows_record_nan(sigma):
 GOLDEN = {
     "path-length": (
         default_config("path-length", replicates=3),
-        "1c816e48c5f1f0f6350c17e86601d557b72f150e20fe65a4357aeeec5520505e",
-        "26ab9d1503c37f5a70568f6cca26a84a0b8f0fe310131950b3e98e8f4617530a",
+        "94a5c49346858ef7832d141fe5bd9d1696362cdff9dd8d827ce2a473f4c3804f",
+        "0d10a4e7a116c6bcf5a7de279acff318d357982a3ad72d2a8f7a3bc204416c80",
     ),
     "rog-loop": (
         default_config("rog", replicates=3),
@@ -205,8 +205,8 @@ GOLDEN = {
     ),
     "path-length-default": (
         default_config("path-length"),
-        "51f48bd221e1d8aa3c771000e20941e81f16b6c8043855b7d5e8c454ea0bc3d7",
-        "ad3c1173cb340bbc2a981f5cbcfa0055cb7a5fe38444355322ebc063c8882b2b",
+        "aed2a74ecf65364432a70c03d32ded371ecb70713a4018a369abd20d6da9a4a7",
+        "d0ceb2351ea7b3b9ffec998b4e83924bbd25149acdcbdcb85cf0f7a626cfc8f9",
     ),
     "rog-loop-default": (
         default_config("rog"),

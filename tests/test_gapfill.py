@@ -56,6 +56,12 @@ class TestEstimateGapRog:
         with pytest.raises(DomainError, match="realisations must be >= 1"):
             estimate_gap_rog(_gapped(25), 1.3, 0, 1)
 
+    # Counts whose noise array numpy would refuse before allocating it.
+    @pytest.mark.parametrize("realisations", [10**20, 2**62])
+    def test_too_many_realisations_for_one_array(self, realisations):
+        with pytest.raises(DomainError, match="too many for one float array"):
+            estimate_gap_rog(_gapped(25), 1.3, realisations, 1)
+
     def test_realisations_match_spliced_rogs(self):
         gapped = _gapped(25)
         est = estimate_gap_rog(gapped, 1.3, 20, np.random.default_rng(9))
