@@ -8,6 +8,10 @@ can swap in a wrapper by patching the module attribute.
 Positions stay (..., n, 2), but the kernels compute on the x and y planes,
 ``[..., 0]`` and ``[..., 1]``: a loop along the 2-long axis would pay numpy's
 loop overhead on every second element. Sums run sequentially along a plane.
+
+The generator kernels solve their per-step recurrences without a Python
+loop: each is a cumulative sum, or a forward-fill by ``_latest`` of the
+value at the latest step of some kind.
 """
 
 from __future__ import annotations
@@ -52,16 +56,12 @@ def bridge_paths(start, end, duration, sigma_m, times, noise):
     return out
 
 
-def _since_last(flags):
-    """Index of the latest True in ``flags`` (m, steps) at or before each
-    step, -1 before the first."""
-    idx = np.where(flags, np.arange(flags.shape[1]), -1)
-    return np.maximum.accumulate(idx, axis=1)
-
-
-def _at(values, index, before):
-    """``values`` (m, steps) at ``index`` (m, steps), and ``before`` (a
-    scalar or one per path, (m,)) where the index is -1."""
+def _latest(values, flags, before):
+    """``values`` (m, steps) at the latest True in ``flags`` (m, steps) at or
+    before each step, and ``before`` (a scalar or one per path, (m,)) before
+    the first."""
+    index = np.maximum.accumulate(
+        np.where(flags, np.arange(flags.shape[1]), -1), axis=1)
     got = np.take_along_axis(values, np.maximum(index, 0), axis=1)
     return np.where(index >= 0, got, np.reshape(before, (-1, 1)))
 
@@ -70,12 +70,15 @@ def run_tumble_angles(theta0, tumble, fresh):
     """Heading after each step, (m, steps): ``theta0`` (m,) until the first
     nonzero ``tumble`` flag, then the ``fresh`` angle drawn at the latest
     tumble."""
-    return _at(fresh, _since_last(tumble != 0), theta0)
+    return _latest(fresh, tumble != 0, theta0)
 
 
 # Heading h moves by (_DX[h], _DY[h]) steps: east, north, west, south.
 _DX = np.array([1.0, 0.0, -1.0, 0.0])
 _DY = np.array([0.0, 1.0, 0.0, -1.0])
+# A moving walker's turn by the count of thresholds c_keep, c_left, c_right
+# and c_reverse at or below its draw: keep, left, right, reverse, stop.
+_TURN = np.array([0, 1, 3, 2, 0])
 
 
 def internal_state_positions(heading0, step, c_keep, c_left, c_right,
@@ -92,33 +95,28 @@ def internal_state_positions(heading0, step, c_keep, c_left, c_right,
     starts moving in the new heading ``int(4 * dir_u)``. ``step`` and the
     thresholds are scalars or one per walk, as (m, 1) columns.
 
-    Without a loop: each step maps the state (moving or not) by identity,
-    swap or reset, so the state is the latest reset's value flipped by the
-    parity of swaps since it. The heading restarts at each start and
-    otherwise adds the turns taken while moving, modulo 4.
+    Without a loop, from two quantities that change only at known steps
+    (a change of variable for a first-order recurrence: Blelloch, *Prefix
+    Sums and Their Applications*, CMU-CS-90-190, 1990). Each step maps the
+    state (moving or not) by identity, swap or reset. A swap flips both
+    the state and the parity of swaps so far, so the state xor that parity
+    changes only at a reset, to the reset's value xor the parity. The
+    heading less the turns taken so far, while moving, changes only where
+    a walk starts moving, to the new heading less those turns.
     """
-    m, steps = action_u.shape
     keeps_moving = action_u < c_reverse
     starts_moving = action_u >= c_remain
-    reset = keeps_moving == starts_moving
-    swaps = np.cumsum(~keeps_moving & starts_moving, axis=1)
-    last_reset = _since_last(reset)
-    parity = (swaps - _at(swaps, last_reset, 0)) % 2 == 1
-    moving = _at(keeps_moving, last_reset, True) ^ parity
+    odd = np.logical_xor.accumulate(~keeps_moving & starts_moving, axis=1)
+    moving = _latest(keeps_moving ^ odd, keeps_moving == starts_moving, True) ^ odd
     was_moving = np.ones_like(moving)
     was_moving[:, 1:] = moving[:, :-1]
 
-    turn = np.select(
-        [action_u < c_keep, action_u < c_left, action_u < c_right,
-         action_u < c_reverse],
-        [0, 1, 3, 2], 0)
+    turn = _TURN[sum(action_u >= c for c in (c_keep, c_left, c_right, c_reverse))]
     turns = np.cumsum(np.where(was_moving, turn, 0), axis=1)
-    started = ~was_moving & starts_moving
-    last_start = _since_last(started)
-    base = _at((dir_u * 4.0).astype(np.int64), last_start, heading0)
-    heading = (base + turns - _at(turns, last_start, 0)) % 4
+    base = (dir_u * 4.0).astype(np.int64)
+    heading = (_latest(base - turns, ~was_moving & starts_moving, heading0) + turns) % 4
 
-    out = np.empty((m, steps, 2))
+    out = np.empty((*action_u.shape, 2))
     np.cumsum(np.where(moving, step * _DX[heading], 0.0), axis=1, out=out[..., 0])
     np.cumsum(np.where(moving, step * _DY[heading], 0.0), axis=1, out=out[..., 1])
     return out

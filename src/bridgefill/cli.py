@@ -99,6 +99,8 @@ def _detect_gap(traj: Trajectory) -> GappedTrajectory:
     split = int(jumps[0]) + 1
     try:
         missing = np.arange(int(times[split - 1]) + 1, int(times[split]))
+        if len(missing) != int(times[split]) - int(times[split - 1]) - 1:
+            raise ValueError("their count overflows numpy's arange")
     except (ValueError, MemoryError) as exc:
         raise BridgefillError(
             f"cannot list the missing timestamps between {float(times[split - 1])!r} "

@@ -9,15 +9,15 @@ endpoint, one step at a time (the package uses the unrolled closed form).
 Sampled discretised bridge lengths are the Monte-Carlo counterpart of the
 closed-form expected length. The sigma_m likelihood is summed triple by
 triple over point objects (the package reduces whole arrays), the
-internal-state walker steps through its state machine one draw at a time
-(the package solves it in closed form), and experiment records are built
-one replicate at a time, each path generated, filled and scored on its own
-(the package runs each cell as arrays). The expected squared radius of
-gyration of a bridge-filled path is a closed form, which the package does
-not compute (it samples). The ``*_interleaved`` references are the
-package's earlier (..., n, 2) formulas, which reduce over and broadcast
-against the 2-long coordinate axis; the plane-wise kernels must equal them
-bit for bit.
+internal-state walker steps through its state machine and the run-and-tumble
+heading through its tumbles one draw at a time (the package solves both
+without a loop), and experiment records are built one replicate at a time,
+each path generated, filled and scored on its own (the package runs each
+cell as arrays). The expected squared radius of gyration of a bridge-filled
+path is a closed form, which the package does not compute (it samples).
+The ``*_interleaved`` references are the package's earlier (..., n, 2)
+formulas, which reduce over and broadcast against the 2-long coordinate
+axis; the plane-wise kernels must equal them bit for bit.
 """
 
 import math
@@ -351,6 +351,19 @@ def internal_state_loop(heading0, step, c_keep, c_left, c_right, c_reverse,
                 y = y - step
         out[j, 0] = x
         out[j, 1] = y
+    return out
+
+
+def run_tumble_loop(theta0, tumble, fresh):
+    """One run-and-tumble heading sequence, (steps,), draw by draw:
+    ``theta0`` until the first nonzero ``tumble`` flag, then the ``fresh``
+    angle of the latest tumble."""
+    out = np.empty(len(tumble))
+    theta = theta0
+    for j in range(len(tumble)):
+        if tumble[j]:
+            theta = fresh[j]
+        out[j] = theta
     return out
 
 

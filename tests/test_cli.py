@@ -652,8 +652,9 @@ class TestDetectGap:
         [0, 1, 1e300],  # one gap too wide to list
         [0, 1, 1e18],  # one gap too large to allocate
         [-1e308, 1e308],  # a step that overflows
+        [0, 1, 2, 3, 2.0 ** 63],  # numpy's arange overflows to an empty list
     ], ids=["non-integer", "several", "none", "several-wide", "too-wide",
-            "too-large", "overflowing-step"])
+            "too-large", "overflowing-step", "arange-overflow"])
     def test_rejected(self, times):
         with pytest.raises(BridgefillError):
             _detect_gap(_traj(times))

@@ -9,7 +9,12 @@ import pytest
 import bridgefill
 from bridgefill import _kernels
 
-from .oracles import bridge_paths_interleaved, bridge_paths_sequential
+from .oracles import (
+    bridge_paths_interleaved,
+    bridge_paths_sequential,
+    internal_state_loop,
+    run_tumble_loop,
+)
 
 SRC = str(Path(bridgefill.__file__).resolve().parents[1])
 
@@ -81,6 +86,54 @@ class TestBridgePaths:
         for j in range(2):
             one = _kernels.bridge_paths(start, end, 10.0, sigma[j], times, noise[j])
             assert np.array_equal(got[j], one)
+
+
+class TestInternalStatePositions:
+    @pytest.mark.parametrize("steps", [1, 2, 300])
+    def test_per_row_thresholds_match_loop(self, steps):
+        # Sorted random thresholds per row, with c_remain on either side of
+        # c_reverse. Above it, a draw between the two resets the state to
+        # stationary, which no generator spec reaches.
+        rng = np.random.default_rng(steps)
+        m = 40
+        c = np.sort(rng.random((m, 4)), axis=1)
+        remain = rng.random(m)
+        remain[:2] = c[:2, 3] + (1.0 - c[:2, 3]) / 2.0
+        remain[2:4] = c[2:4, 3] / 2.0
+        step = rng.uniform(0.1, 2.0, m)
+        heading0 = rng.integers(0, 4, m)
+        action_u, dir_u = rng.random((m, steps)), rng.random((m, steps))
+        got = _kernels.internal_state_positions(
+            heading0, step[:, None], *(c[:, i:i + 1] for i in range(4)),
+            remain[:, None], action_u, dir_u)
+        assert got.shape == (m, steps, 2)
+        for i in range(m):
+            expected = internal_state_loop(heading0[i], step[i], *c[i], remain[i],
+                                           action_u[i], dir_u[i])
+            assert np.array_equal(got[i], expected), i
+
+
+class TestRunTumbleAngles:
+    @pytest.mark.parametrize("steps", [1, 50])
+    @pytest.mark.parametrize("dtype", [bool, np.int64])
+    def test_matches_loop(self, steps, dtype):
+        # Row 0 never tumbles, row 1 tumbles at step 0 only, and the rest
+        # at random; int flags are any nonzero value.
+        rng = np.random.default_rng(steps)
+        theta0 = rng.uniform(0.0, 2.0 * np.pi, 6)
+        fresh = rng.uniform(0.0, 2.0 * np.pi, (6, steps))
+        tumble = (rng.random((6, steps)) < 0.2) * rng.integers(1, 4, (6, steps))
+        tumble[0] = 0
+        tumble[1] = 0
+        tumble[1, 0] = -2
+        tumble = tumble.astype(dtype)
+        got = _kernels.run_tumble_angles(theta0, tumble, fresh)
+        assert got.shape == (6, steps)
+        for i in range(6):
+            assert np.array_equal(got[i], run_tumble_loop(theta0[i], tumble[i],
+                                                          fresh[i])), i
+        assert np.all(got[0] == theta0[0])
+        assert np.all(got[1] == fresh[1, 0])
 
 
 def test_numpy_is_the_only_backend():

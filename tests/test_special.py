@@ -82,11 +82,15 @@ class TestLaguerreHalf:
 
 
 class TestRicePins:
-    @pytest.mark.parametrize("a,b,expected", RICE_PINS)
+    # Ids from the arguments alone, so a re-pin keeps every case's name.
+    @pytest.mark.parametrize("a,b,expected", RICE_PINS,
+                             ids=[f"{a!r}-{b!r}" for a, b, _ in RICE_PINS])
     def test_rice_mean_bits(self, a, b, expected):
         assert rice_mean(a, b).hex() == expected
 
-    @pytest.mark.parametrize("args,expected", EXPECTED_LENGTH_PINS)
+    @pytest.mark.parametrize("args,expected", EXPECTED_LENGTH_PINS, ids=[
+        f"{s!r}-{t!r}-({dx!r},{dy!r})-{n}"
+        for (s, t, (dx, dy), n), _ in EXPECTED_LENGTH_PINS])
     def test_expected_path_length_bits(self, args, expected):
         assert expected_path_length(*args).hex() == expected
 
