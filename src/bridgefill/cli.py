@@ -4,6 +4,11 @@ Subcommands: simulate | gap | fill | estimate | metrics | experiment.
 Exit codes: 0 success, 2 usage error, 3 data error. Text files are UTF-8,
 and one may start with a byte-order mark.
 
+``fill`` and ``gap`` copy the observed rows of ``--in`` as text and format
+only the fill rows. ``--out`` may name the input: the output is written to a
+temporary file beside it, which replaces it only on success, and an input
+that changed since it was read is a data error.
+
 Model parameters are passed as repeatable ``--param key=value`` flags; the
 same keys appear in experiment config files (JSON). Valid keys per model:
 discrete-brownian: sigma, target_x, target_y; fixed-velocity: v;
@@ -16,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -45,6 +51,7 @@ from .seeding import child_seed
 from .trajectory import (
     GappedTrajectory,
     Trajectory,
+    _copy_rows,
     excise_gap,
     read_trajectory_csv,
     splice_fill,
@@ -115,9 +122,10 @@ def _cmd_simulate(args, parser) -> None:
 
 
 def _cmd_gap(args, parser) -> None:
+    stat = os.stat(args.infile)
     traj = read_trajectory_csv(args.infile)
-    gapped = excise_gap(traj, args.gap_start, args.gap_count)
-    write_trajectory_csv(args.out, gapped.observed)
+    excise_gap(traj, args.gap_start, args.gap_count)  # checks the gap
+    _copy_rows(args.infile, stat, len(traj), args.out, args.gap_start, args.gap_count)
 
 
 def _cmd_estimate(args, parser) -> None:
@@ -152,6 +160,7 @@ def _cmd_fill(args, parser) -> None:
         parser.error("--sigma applies to --method bridge only")
     if (args.gap_start is None) != (args.gap_count is None):
         parser.error("--gap-start and --gap-count must be given together")
+    stat = os.stat(args.infile)
     traj = read_trajectory_csv(args.infile)
     gapped = (_detect_gap(traj) if args.gap_start is None
               else excise_gap(traj, args.gap_start, args.gap_count))
@@ -187,7 +196,9 @@ def _cmd_fill(args, parser) -> None:
     filled = splice_fill(gapped, fill, args.method)
     summary["rog_filled"] = float(radii_of_gyration(filled.coords))
     text = _json_text(summary)  # before writing, so a non-finite result leaves no file
-    write_trajectory_csv(args.out, filled)
+    excised = len(traj) - len(gapped.observed)  # 0 for an auto-detected gap
+    _copy_rows(args.infile, stat, len(traj), args.out, gapped.split, excised,
+               (gapped.missing_times, fill, (args.method,) * gapped.n_missing))
     print(text)
 
 

@@ -10,17 +10,23 @@ and a fill is inserted there. All values are immutable after construction
 threads.
 
 CSV schema: header ``t,x,y`` for plain trajectories, ``t,x,y,source`` for
-filled ones (``source`` in {observed, bridge, linear}). Floats are written
-with ``repr``, which round-trips doubles exactly.
+filled ones (``source`` in {observed, bridge, linear}).
 
 CSV dialect: comma-separated rows ending in CRLF, no quoting and no comment
 lines. The reader accepts any line ending, an optional UTF-8 byte-order
 mark and empty lines, which it skips, and parses the rows with
-``np.loadtxt``, which also sets the accepted number syntax.
+``np.loadtxt``, which also sets the accepted number syntax. Floats the
+package computes are written with ``repr``, which round-trips doubles
+exactly. The CLI's ``fill`` and ``gap`` copy each observed row's text from
+their input instead, ending it in CRLF, so a row keeps its own spelling of
+its numbers.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import stat
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -195,16 +201,38 @@ def splice_fill(
 
 
 # Rows formatted per ``write`` call. A chunk is held as per-column lists and
-# one joined string, so its memory grows with the chunk: on 1e5 labelled rows
-# the writer's tracemalloc peak is 0.28 MB at 1024 rows against 1.08 MB at
-# 4096, at the same speed, as the per-call cost is spread thin either way.
+# one joined string, so its memory grows with the chunk: on 1e5 labelled rows,
+# as ``simulate`` may write, the writer's tracemalloc peak is 0.28 MB at 1024
+# rows against 1.08 MB at 4096, at the same speed, as the per-call cost is
+# spread thin either way.
 _WRITE_CHUNK = 1024
 # The dialect has no quoting, so a label may not hold a field or row separator.
 _SEPARATORS = (",", "\r", "\n")
 
 
+def _write_rows(fh, times: np.ndarray, coords: np.ndarray,
+                labels: tuple[str, ...] | None) -> None:
+    """Write one CRLF-ended row per point to the text file ``fh``, floats by
+    ``repr`` and a ``source`` field when ``labels`` is not None."""
+    for start in range(0, len(times), _WRITE_CHUNK):
+        stop = start + _WRITE_CHUNK
+        columns = [map(repr, times[start:stop].tolist()),
+                   map(repr, coords[start:stop, 0].tolist()),
+                   map(repr, coords[start:stop, 1].tolist())]
+        if labels is not None:
+            columns.append(labels[start:stop])
+        fh.write("\r\n".join(map(",".join, zip(*columns))))
+        # a separate write, so the chunk's text is not copied to end it
+        fh.write("\r\n")
+
+
 def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
-    """Write ``t,x,y`` CSV (plus ``source`` column when labels are present).
+    """Write ``t,x,y`` CSV (plus ``source`` column when labels are present),
+    every float by ``repr``, so that it reads back bit for bit.
+
+    The CLI's ``simulate`` writes through this. ``fill`` and ``gap`` copy the
+    rows they keep from their input and format only the fill rows as this
+    does (see :func:`_copy_rows`).
 
     Raises CsvFormatError for a source label holding a comma or line break.
     """
@@ -215,16 +243,7 @@ def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
             raise CsvFormatError(f"source labels {bad} hold a CSV separator")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("t,x,y\r\n" if labels is None else "t,x,y,source\r\n")
-        for start in range(0, len(traj), _WRITE_CHUNK):
-            stop = start + _WRITE_CHUNK
-            columns = [map(repr, traj.times[start:stop].tolist()),
-                       map(repr, traj.coords[start:stop, 0].tolist()),
-                       map(repr, traj.coords[start:stop, 1].tolist())]
-            if labels is not None:
-                columns.append(labels[start:stop])
-            fh.write("\r\n".join(map(",".join, zip(*columns))))
-            # a separate write, so the chunk's text is not copied to end it
-            fh.write("\r\n")
+        _write_rows(fh, traj.times, traj.coords, labels)
 
 
 def _bad_row(path: str | Path, n_fields: int) -> str | None:
@@ -292,3 +311,84 @@ def read_trajectory_csv(path: str | Path) -> Trajectory:
                           tuple(rows["source"]) if with_source else None)
     except BridgefillError as exc:
         raise type(exc)(f"{path}: {exc}") from None
+
+
+@contextlib.contextmanager
+def _replacing(path: str | Path):
+    """Open ``path`` to write CSV text through a temporary file beside it,
+    which replaces ``path`` only when the block exits without an exception.
+
+    A symbolic link is followed: its target is replaced. A ``path`` that
+    exists but is not a regular file, such as ``/dev/null``, is opened and
+    written directly.
+    """
+    try:
+        direct = not stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        direct = False
+    if direct:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        return
+    path = os.path.realpath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    # "x" creates the file with the mode "w" gives, and never takes over a
+    # file this call did not make.
+    fh = open(tmp, "x", newline="", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _copy_rows(
+    src: str | Path,
+    src_stat: os.stat_result,
+    n_rows: int,
+    out: str | Path,
+    split: int,
+    drop: int,
+    fill: tuple[np.ndarray, np.ndarray, tuple[str, ...]] | None = None,
+) -> None:
+    """Write the data rows of the trajectory CSV ``src`` to ``out`` without
+    rows ``[split, split + drop)``, with the ``(times, coords, labels)`` rows
+    of ``fill``, if given, at ``split``.
+
+    Kept rows are copied as text, one line at a time: only the line ending
+    changes, to CRLF, and the empty lines that :func:`read_trajectory_csv`
+    skips are dropped. The fill rows are formatted as
+    :func:`write_trajectory_csv` formats them. With ``fill``, the output has a
+    ``source`` column, and copied rows without one are labelled "observed".
+
+    ``src`` must be the file that was read into ``n_rows`` points when
+    ``src_stat`` was taken: if its size or modification time differ, or its
+    rows do not add up to ``n_rows``, this raises BridgefillError. ``out``
+    is replaced only on success (see :func:`_replacing`), so it may be
+    ``src``, and a failure leaves it as it was.
+    """
+    def changed(fh) -> bool:
+        now = os.fstat(fh.fileno())
+        return ((now.st_size, now.st_mtime_ns)
+                != (src_stat.st_size, src_stat.st_mtime_ns))
+
+    with _replacing(out) as fout, open(src, encoding="utf-8-sig") as fin:
+        if changed(fin):
+            raise BridgefillError(f"{src}: changed since it was read")
+        labelled = fin.readline().count(",") == 3
+        label = fill is not None and not labelled
+        fout.write("t,x,y,source\r\n" if labelled or label else "t,x,y\r\n")
+        end = f",{SOURCE_OBSERVED}\r\n" if label else "\r\n"
+        n = 0
+        for line in fin:
+            if line == "\n":
+                continue
+            if n == split and fill is not None:
+                _write_rows(fout, *fill)
+            if not split <= n < split + drop:
+                fout.write(line.rstrip("\n") + end)
+            n += 1
+        if n != n_rows or changed(fin):
+            raise BridgefillError(f"{src}: changed since it was read")

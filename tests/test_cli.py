@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -665,3 +666,161 @@ class TestDetectGap:
         assert main(["fill", "--in", str(src), "--out", str(tmp_path / "o.csv")]) == 3
         err = capsys.readouterr().err
         assert "cannot list the missing timestamps between -1e+308 and 1e+308: " in err
+
+
+# Data rows as hand-written input may spell them: numbers not in ``repr``'s
+# spelling and padded with blanks.
+SPELLED = ["0,0,0", " 1e0 , 2.5 ,1e5", "2,3,4", "3,4.50,5", "4,7,8"]
+SPELLED_INPUTS = {
+    "lf": "t,x,y\n" + "\n".join(SPELLED) + "\n",
+    "cr": "\r".join(["t,x,y", *SPELLED]) + "\r",
+    "crlf": "\r\n".join(["t,x,y", *SPELLED]) + "\r\n",
+    "mixed": "t,x,y\r0,0,0\n 1e0 , 2.5 ,1e5\r\n2,3,4\r3,4.50,5\n4,7,8\r\n",
+    "empty-lines": "t,x,y\n\n0,0,0\r\n\r\n 1e0 , 2.5 ,1e5\r\r2,3,4\n3,4.50,5\n\n"
+                   "4,7,8\n\n\n",
+    "no-final-newline": "t,x,y\n" + "\n".join(SPELLED),
+    "bom": "\ufefft,x,y\n" + "\n".join(SPELLED) + "\n",
+}
+
+
+def _run(command, src, out, *flags):
+    extra = ["--realisations", "5"] if command == "fill" else []
+    return main([command, "--in", str(src), *flags, *extra, "--out", str(out)])
+
+
+def _fill_lines(path, method):
+    """The rows labelled ``method`` in the CSV at ``path``, as
+    ``write_trajectory_csv`` writes them."""
+    traj = read_trajectory_csv(path)
+    fill = [i for i, s in enumerate(traj.sources) if s == method]
+    rows = path.with_name("fill_rows.csv")
+    write_trajectory_csv(rows, Trajectory(traj.times[fill], traj.coords[fill],
+                                          (method,) * len(fill)))
+    return rows.read_bytes().splitlines(keepends=True)[1:]
+
+
+class TestCopiedRows:
+    """``fill`` and ``gap`` copy each kept row's text from their input."""
+
+    @pytest.mark.parametrize("text", SPELLED_INPUTS.values(), ids=SPELLED_INPUTS)
+    def test_rows_keep_their_spelling(self, tmp_path, capsys, text):
+        src, gapped, filled = (tmp_path / n for n in ("in.csv", "g.csv", "f.csv"))
+        src.write_bytes(text.encode("utf-8"))
+        gap = ["--gap-start", "2", "--gap-count", "1"]
+        assert _run("gap", src, gapped, *gap) == 0
+        kept = SPELLED[:2] + SPELLED[3:]
+        assert gapped.read_bytes() == "".join(
+            f"{row}\r\n" for row in ["t,x,y", *kept]).encode()
+        assert _run("fill", src, filled, *gap, "--method", "linear") == 0
+        observed = [f"{row},observed\r\n".encode() for row in kept]
+        assert filled.read_bytes() == b"".join(
+            [b"t,x,y,source\r\n", *observed[:2], *_fill_lines(filled, "linear"),
+             *observed[2:]])
+
+    def test_fill_rows_are_written_as_the_writer_writes_them(self, path_csv, tmp_path,
+                                                             capsys):
+        out = tmp_path / "filled.csv"
+        assert _fill(path_csv, out) == 0
+        lines = out.read_bytes().splitlines(keepends=True)
+        assert lines[21:31] == _fill_lines(out, "bridge")
+
+    @pytest.mark.parametrize("command", ["gap", "fill"])
+    def test_labelled_rows_keep_their_one_label(self, tmp_path, capsys, command):
+        rows = ["0,0,0,observed", "1, 1.50 ,1e1,bridge", "2,2,2,observed",
+                "3,3,3,bridge", "4,4,4,observed"]
+        src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        src.write_text("t,x,y,source\n" + "\n".join(rows), encoding="utf-8")
+        assert _run(command, src, out, "--gap-start", "2", "--gap-count", "1",
+                    *(["--method", "linear"] if command == "fill" else [])) == 0
+        fill = _fill_lines(out, "linear") if command == "fill" else []
+        kept = [f"{row}\r\n".encode() for row in rows[:2] + rows[3:]]
+        assert out.read_bytes() == b"".join(
+            [b"t,x,y,source\r\n", *kept[:2], *fill, *kept[2:]])
+
+
+def _append_row(path, traj):
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("1e9,0,0\r\n")
+    return traj
+
+
+def _touch(path, traj):
+    st = os.stat(path)
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 1_000_000_000))
+    return traj
+
+
+def _drop_last_point(path, traj):
+    return Trajectory(traj.times[:-1], traj.coords[:-1])
+
+
+class TestOutputReplace:
+    """The output goes to a temporary file that replaces ``--out`` only when
+    the copied input is the one that was read."""
+
+    @pytest.mark.parametrize("command", ["gap", "fill"])
+    def test_in_place_equals_separate_output(self, path_csv, tmp_path, capsys, command):
+        separate = tmp_path / "separate.csv"
+        assert _run(command, path_csv, separate, *GAP) == 0
+        assert _run(command, path_csv, path_csv, *GAP) == 0
+        assert path_csv.read_bytes() == separate.read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["in.csv", "separate.csv"]
+
+    @pytest.mark.parametrize("tamper", [_append_row, _touch, _drop_last_point])
+    @pytest.mark.parametrize("command", ["gap", "fill"])
+    def test_input_changed_after_read_is_data_error(self, path_csv, tmp_path, capsys,
+                                                    monkeypatch, command, tamper):
+        read = cli.read_trajectory_csv
+        monkeypatch.setattr(cli, "read_trajectory_csv",
+                            lambda path: tamper(path, read(path)))
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"kept as it was\n")
+        assert _run(command, path_csv, out, *GAP) == 3
+        assert out.read_bytes() == b"kept as it was\n"
+        assert sorted(os.listdir(tmp_path)) == ["in.csv", "out.csv"]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"bridgefill: error: {path_csv}: changed since it was read" in captured.err
+
+    @pytest.mark.parametrize("command", ["gap", "fill"])
+    def test_directory_out_is_data_error_leaving_no_file(self, path_csv, tmp_path,
+                                                         capsys, command):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert _run(command, path_csv, out, *GAP) == 3
+        assert sorted(os.listdir(tmp_path)) == ["in.csv", "out"]
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("command", ["gap", "fill"])
+    def test_device_out_is_written_not_replaced(self, path_csv, tmp_path, capsys,
+                                                command):
+        out = tmp_path / "null"
+        out.symlink_to(os.devnull)
+        assert _run(command, path_csv, out, *GAP) == 0
+        assert out.is_symlink()
+        assert sorted(os.listdir(tmp_path)) == ["in.csv", "null"]
+
+    @pytest.mark.parametrize("command", ["gap", "fill"])
+    def test_symlinked_out_replaces_its_target(self, path_csv, tmp_path, capsys,
+                                               command):
+        separate, target, link = (tmp_path / n for n in ("s.csv", "t.csv", "l.csv"))
+        assert _run(command, path_csv, separate, *GAP) == 0
+        target.write_bytes(b"replaced\n")
+        link.symlink_to(target.name)
+        assert _run(command, path_csv, link, *GAP) == 0
+        assert link.is_symlink()
+        assert target.read_bytes() == separate.read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["in.csv", "l.csv", "s.csv", "t.csv"]
+
+    @pytest.mark.parametrize("command", ["gap", "fill"])
+    def test_new_out_gets_the_mode_open_gives(self, path_csv, tmp_path, capsys,
+                                              command):
+        out, reference = tmp_path / "out.csv", tmp_path / "reference"
+        umask = os.umask(0o027)
+        try:
+            open(reference, "w", encoding="utf-8").close()
+            assert _run(command, path_csv, out, *GAP) == 0
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        assert stat.S_IMODE(reference.stat().st_mode) == 0o640
