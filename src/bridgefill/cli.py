@@ -5,9 +5,11 @@ Exit codes: 0 success, 2 usage error, 3 data error. Text files are UTF-8,
 and one may start with a byte-order mark.
 
 ``fill`` and ``gap`` copy the observed rows of ``--in`` as text and format
-only the fill rows. ``--out`` may name the input: the output is written to a
-temporary file beside it, which replaces it only on success, and an input
-that changed since it was read is a data error.
+only the fill rows. They read ``--in`` twice, to parse it and to copy it, so
+for them it must be a regular file, not a pipe: ``--in /dev/stdin < f.csv``
+works, ``cat f.csv | ...`` is a data error. ``--out`` may name the input: the
+output is written to a temporary file beside it, which replaces it only on
+success, and an input that changed since it was read is a data error.
 
 Model parameters are passed as repeatable ``--param key=value`` flags; the
 same keys appear in experiment config files (JSON). Valid keys per model:
@@ -22,6 +24,7 @@ import argparse
 import json
 import math
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -46,7 +49,7 @@ from .gapfill import (
     fill_gap,
 )
 from .generators import MODEL_NAMES, generate, spec_from_dict
-from .metrics import path_lengths, radii_of_gyration
+from .metrics import path_lengths, radii_of_gyration, spliced_radii_of_gyration
 from .seeding import child_seed
 from .trajectory import (
     GappedTrajectory,
@@ -54,7 +57,6 @@ from .trajectory import (
     _copy_rows,
     excise_gap,
     read_trajectory_csv,
-    splice_fill,
     write_trajectory_csv,
 )
 
@@ -115,6 +117,17 @@ def _detect_gap(traj: Trajectory) -> GappedTrajectory:
     return GappedTrajectory(traj, split, missing.astype(float))
 
 
+def _read_twice(path: str) -> tuple[os.stat_result, Trajectory]:
+    """Stat and read the ``--in`` of ``fill`` or ``gap``, which
+    :func:`_copy_rows` reads again. A pipe or device would hang or read empty
+    the second time, so a file that is not regular is refused unread."""
+    status = os.stat(path)
+    if not stat.S_ISREG(status.st_mode):
+        raise BridgefillError(
+            f"{path}: --in is read twice, so it must be a regular file")
+    return status, read_trajectory_csv(path)
+
+
 def _cmd_simulate(args, parser) -> None:
     spec = spec_from_dict({"model": args.model, **_parse_params(args.param, parser)})
     traj = generate(spec, args.steps, args.seed)
@@ -122,10 +135,9 @@ def _cmd_simulate(args, parser) -> None:
 
 
 def _cmd_gap(args, parser) -> None:
-    stat = os.stat(args.infile)
-    traj = read_trajectory_csv(args.infile)
-    excise_gap(traj, args.gap_start, args.gap_count)  # checks the gap
-    _copy_rows(args.infile, stat, len(traj), args.out, args.gap_start, args.gap_count)
+    status, traj = _read_twice(args.infile)
+    _copy_rows(args.infile, status, traj, excise_gap(traj, args.gap_start, args.gap_count),
+               args.out)
 
 
 def _cmd_estimate(args, parser) -> None:
@@ -160,8 +172,7 @@ def _cmd_fill(args, parser) -> None:
         parser.error("--sigma applies to --method bridge only")
     if (args.gap_start is None) != (args.gap_count is None):
         parser.error("--gap-start and --gap-count must be given together")
-    stat = os.stat(args.infile)
-    traj = read_trajectory_csv(args.infile)
+    status, traj = _read_twice(args.infile)
     gapped = (_detect_gap(traj) if args.gap_start is None
               else excise_gap(traj, args.gap_start, args.gap_count))
     summary: dict = {
@@ -193,12 +204,10 @@ def _cmd_fill(args, parser) -> None:
         }
     fill = fill_gap(gapped, sigma, args.seed)
     summary["expected_gap_length"] = estimate_gap_length(gapped, sigma)
-    filled = splice_fill(gapped, fill, args.method)
-    summary["rog_filled"] = float(radii_of_gyration(filled.coords))
+    summary["rog_filled"] = float(
+        spliced_radii_of_gyration(gapped.observed.coords, fill.copy()))
     text = _json_text(summary)  # before writing, so a non-finite result leaves no file
-    excised = len(traj) - len(gapped.observed)  # 0 for an auto-detected gap
-    _copy_rows(args.infile, stat, len(traj), args.out, gapped.split, excised,
-               (gapped.missing_times, fill, (args.method,) * gapped.n_missing))
+    _copy_rows(args.infile, status, traj, gapped, args.out, (fill, args.method))
     print(text)
 
 

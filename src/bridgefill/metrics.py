@@ -1,8 +1,8 @@
 """Path length and radius of gyration of one path, ``coords`` (n, 2), or
 of a stack of paths, (..., n, 2), at once; for a trajectory pass
 ``traj.coords``. ``spliced_radii_of_gyration`` scores fills spliced into
-observed points without building the spliced paths: both ``fill``'s
-Monte-Carlo estimate and the ``rog`` experiment call it.
+observed points without building the spliced paths: ``fill``'s Monte-Carlo
+estimate, its ``rog_filled`` and the ``rog`` experiment all call it.
 
 Inputs stay (..., n, 2), but the functions compute on the x and y planes,
 ``coords[..., 0]`` and ``coords[..., 1]``, never looping along the 2-long

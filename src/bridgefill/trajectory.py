@@ -347,15 +347,16 @@ def _replacing(path: str | Path):
 def _copy_rows(
     src: str | Path,
     src_stat: os.stat_result,
-    n_rows: int,
+    traj: Trajectory,
+    gapped: GappedTrajectory,
     out: str | Path,
-    split: int,
-    drop: int,
-    fill: tuple[np.ndarray, np.ndarray, tuple[str, ...]] | None = None,
+    fill: tuple[np.ndarray, str] | None = None,
 ) -> None:
-    """Write the data rows of the trajectory CSV ``src`` to ``out`` without
-    rows ``[split, split + drop)``, with the ``(times, coords, labels)`` rows
-    of ``fill``, if given, at ``split``.
+    """Write the data rows of the trajectory CSV ``src``, read into ``traj``,
+    to ``out`` without the rows that ``gapped`` removed from ``traj``, with
+    the ``(coords, label)`` rows of ``fill``, if given, at ``gapped.split``
+    and the times ``gapped.missing_times``. ``gapped`` comes from
+    :func:`excise_gap` on ``traj``, or has ``traj`` as its observed points.
 
     Kept rows are copied as text, one line at a time: only the line ending
     changes, to CRLF, and the empty lines that :func:`read_trajectory_csv`
@@ -363,17 +364,18 @@ def _copy_rows(
     :func:`write_trajectory_csv` formats them. With ``fill``, the output has a
     ``source`` column, and copied rows without one are labelled "observed".
 
-    ``src`` must be the file that was read into ``n_rows`` points when
-    ``src_stat`` was taken: if its size or modification time differ, or its
-    rows do not add up to ``n_rows``, this raises BridgefillError. ``out``
-    is replaced only on success (see :func:`_replacing`), so it may be
-    ``src``, and a failure leaves it as it was.
+    ``src`` must be the file that was read into ``traj`` when ``src_stat``
+    was taken: if its size or modification time differ, or its rows do not
+    add up to ``len(traj)``, this raises BridgefillError. ``out`` is replaced
+    only on success (see :func:`_replacing`), so it may be ``src``, and a
+    failure leaves it as it was.
     """
     def changed(fh) -> bool:
         now = os.fstat(fh.fileno())
         return ((now.st_size, now.st_mtime_ns)
                 != (src_stat.st_size, src_stat.st_mtime_ns))
 
+    gap = range(gapped.split, gapped.split + len(traj) - len(gapped.observed))
     with _replacing(out) as fout, open(src, encoding="utf-8-sig") as fin:
         if changed(fin):
             raise BridgefillError(f"{src}: changed since it was read")
@@ -385,10 +387,12 @@ def _copy_rows(
         for line in fin:
             if line == "\n":
                 continue
-            if n == split and fill is not None:
-                _write_rows(fout, *fill)
-            if not split <= n < split + drop:
+            if n == gap.start and fill is not None:
+                coords, source = fill
+                _write_rows(fout, gapped.missing_times, coords,
+                            (source,) * gapped.n_missing)
+            if n not in gap:
                 fout.write(line.rstrip("\n") + end)
             n += 1
-        if n != n_rows or changed(fin):
+        if n != len(traj) or changed(fin):
             raise BridgefillError(f"{src}: changed since it was read")

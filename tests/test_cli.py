@@ -14,7 +14,7 @@ from bridgefill import cli
 from bridgefill.cli import _build_parser, _detect_gap, main
 from bridgefill.errors import BridgefillError
 from bridgefill.generators import MODEL_NAMES, _SPECS, spec_from_dict, spec_to_dict
-from bridgefill.metrics import radii_of_gyration
+from bridgefill.metrics import radii_of_gyration, spliced_radii_of_gyration
 from bridgefill.trajectory import (
     Trajectory,
     read_trajectory_csv,
@@ -53,7 +53,10 @@ class TestFill:
         assert filled.sources[20:30] == (method,) * 10
         keep = np.r_[0:20, 30:len(original)]
         assert np.array_equal(filled.coords[keep], original.coords[keep])
-        assert summary["rog_filled"] == radii_of_gyration(filled.coords)
+        rog = summary["rog_filled"]
+        fill = filled.coords[20:30].copy()
+        assert rog == spliced_radii_of_gyration(filled.coords[keep], fill)
+        assert rog == pytest.approx(radii_of_gyration(filled.coords), rel=1e-13, abs=0)
 
     def test_linear_fill_lies_on_anchor_chord(self, path_csv, tmp_path, capsys):
         out = tmp_path / "filled.csv"
@@ -574,7 +577,7 @@ class TestGolden:
             "2084a77dc79c5a668e32dcc062c0bc39af03bd90b3aa8921187c77de32591fcb")
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "813454ca9ae54eef62356986b6a07b10c753ee54115bf742fe614d908bb000a7")
+            "561600248d83b3bd597f41f4761086225971acc0c7a4a21fbe594a6dbb233e2c")
         summary = json.loads(out)
         # exact: any change to a summation order moves these bits
         assert summary["sigma_hat"] == 0.39949615843538105
@@ -781,6 +784,42 @@ class TestOutputReplace:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"bridgefill: error: {path_csv}: changed since it was read" in captured.err
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="names a pipe by /dev/fd/N")
+    @pytest.mark.parametrize("command", ["gap", "fill"])
+    def test_piped_input_is_data_error(self, path_csv, tmp_path, capsys, command):
+        # Not a named FIFO: reopening one to copy its rows would wait forever.
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"kept as it was\n")
+        read, write = os.pipe()
+        try:
+            os.write(write, path_csv.read_bytes())
+            os.close(write)
+            assert _run(command, f"/dev/fd/{read}", out, *GAP) == 3
+        finally:
+            os.close(read)
+        assert out.read_bytes() == b"kept as it was\n"
+        assert sorted(os.listdir(tmp_path)) == ["in.csv", "out.csv"]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"bridgefill: error: /dev/fd/{read}: --in is read twice, so it must "
+                "be a regular file") in captured.err
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="names a file by /dev/fd/N")
+    @pytest.mark.parametrize("command", ["gap", "fill"])
+    def test_regular_file_named_by_descriptor_is_read(self, path_csv, tmp_path, capsys,
+                                                      command):
+        # As ``--in /dev/stdin < in.csv`` names it.
+        separate, out = tmp_path / "separate.csv", tmp_path / "out.csv"
+        assert _run(command, path_csv, separate, *GAP) == 0
+        fd = os.open(path_csv, os.O_RDONLY)
+        try:
+            assert _run(command, f"/dev/fd/{fd}", out, *GAP) == 0
+        finally:
+            os.close(fd)
+        assert out.read_bytes() == separate.read_bytes()
 
     @pytest.mark.parametrize("command", ["gap", "fill"])
     def test_directory_out_is_data_error_leaving_no_file(self, path_csv, tmp_path,
