@@ -4,8 +4,9 @@ Subcommands: simulate | gap | fill | estimate | metrics | experiment.
 Exit codes: 0 success, 2 usage error, 3 data error. Text files are UTF-8,
 and one may start with a byte-order mark.
 
-``fill`` and ``gap`` copy the observed rows of ``--in`` as text and format
-only the fill rows. They read ``--in`` twice, to parse it and to copy it, so
+``fill`` and ``gap`` copy the observed rows of ``--in`` as text, in blocks
+of whole lines that only ``\\n`` splits into rows, and format only the fill
+rows. They read ``--in`` twice, to parse it and to copy it, so
 for them it must be a regular file, not a pipe: ``--in /dev/stdin < f.csv``
 works, ``cat f.csv | ...`` is a data error. ``--out`` may name the input: the
 output is written to a temporary file beside it, which replaces it only on

@@ -19,7 +19,8 @@ mark and empty lines, which it skips, and parses the rows with
 package computes are written with ``repr``, which round-trips doubles
 exactly. The CLI's ``fill`` and ``gap`` copy each observed row's text from
 their input instead, ending it in CRLF, so a row keeps its own spelling of
-its numbers.
+its numbers. They copy blocks of whole lines, each ended on a line break,
+and only ``\\n`` (after newline translation) splits a block into rows.
 """
 
 from __future__ import annotations
@@ -206,6 +207,12 @@ def splice_fill(
 # rows against 1.08 MB at 4096, at the same speed, as the per-call cost is
 # spread thin either way.
 _WRITE_CHUNK = 1024
+# Characters per block of :func:`_copy_rows`, which reads on from each to the
+# next line break. On the 1e5-row benchmark input 8 K blocks copy in 23 ms at a
+# tracemalloc peak of 0.30 MB (line by line: 39 ms, 0.28 MB). 64 K blocks copy
+# in 19 ms but leave the malloc heap more fragmented, which raised the
+# benchmark's peak RSS by up to 3.4 MB against 1.6 MB (ROADMAP, Dead ends).
+_COPY_BLOCK = 8192
 # The dialect has no quoting, so a label may not hold a field or row separator.
 _SEPARATORS = (",", "\r", "\n")
 
@@ -358,11 +365,16 @@ def _copy_rows(
     and the times ``gapped.missing_times``. ``gapped`` comes from
     :func:`excise_gap` on ``traj``, or has ``traj`` as its observed points.
 
-    Kept rows are copied as text, one line at a time: only the line ending
-    changes, to CRLF, and the empty lines that :func:`read_trajectory_csv`
-    skips are dropped. The fill rows are formatted as
-    :func:`write_trajectory_csv` formats them. With ``fill``, the output has a
-    ``source`` column, and copied rows without one are labelled "observed".
+    Kept rows are copied as text, a block at a time. A block is
+    :data:`_COPY_BLOCK` characters and the rest of the line that the last of
+    them is in, so it ends on a line break. The file is read with universal
+    newlines, and only ``\\n`` splits a block into rows, as it splits the
+    lines of the file: not ``\\x0c``, ``\\u2028`` or the other breaks of
+    ``str.splitlines``. Only the line ending changes, to CRLF, and the empty
+    lines that :func:`read_trajectory_csv` skips are dropped. The fill rows
+    are formatted as :func:`write_trajectory_csv` formats them. With
+    ``fill``, the output has a ``source`` column, and copied rows without
+    one are labelled "observed".
 
     ``src`` must be the file that was read into ``traj`` when ``src_stat``
     was taken: if its size or modification time differ, or its rows do not
@@ -383,16 +395,19 @@ def _copy_rows(
         label = fill is not None and not labelled
         fout.write("t,x,y,source\r\n" if labelled or label else "t,x,y\r\n")
         end = f",{SOURCE_OBSERVED}\r\n" if label else "\r\n"
-        n = 0
-        for line in fin:
-            if line == "\n":
-                continue
-            if n == gap.start and fill is not None:
+        n = 0  # rows before the block
+        while block := fin.read(_COPY_BLOCK) + fin.readline():
+            rows = list(filter(None, block.split("\n")))
+            # the block holds rows n to n + len(rows): cut the gap out by offset
+            before, after = rows[:max(gap.start - n, 0)], rows[max(gap.stop - n, 0):]
+            if before:
+                fout.write(end.join(before) + end)
+            if fill is not None and n <= gap.start < n + len(rows):
                 coords, source = fill
                 _write_rows(fout, gapped.missing_times, coords,
                             (source,) * gapped.n_missing)
-            if n not in gap:
-                fout.write(line.rstrip("\n") + end)
-            n += 1
+            if after:
+                fout.write(end.join(after) + end)
+            n += len(rows)
         if n != len(traj) or changed(fin):
             raise BridgefillError(f"{src}: changed since it was read")

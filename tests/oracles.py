@@ -17,7 +17,10 @@ cell as arrays). The expected squared radius of gyration of a bridge-filled
 path is a closed form, which the package does not compute (it samples).
 The ``*_interleaved`` references are the package's earlier (..., n, 2)
 formulas, which reduce over and broadcast against the 2-long coordinate
-axis; the plane-wise kernels must equal them bit for bit.
+axis; the plane-wise kernels must equal them bit for bit. The CSV row copy
+of ``fill`` and ``gap`` is checked against its earlier loop, which copies
+one line at a time and formats each fill row on its own (the package copies
+blocks of lines and formats the fill rows in chunks).
 """
 
 import math
@@ -36,6 +39,7 @@ from bridgefill.generators import generate, spec_to_dict
 from bridgefill.metrics import path_lengths, radii_of_gyration
 from bridgefill.seeding import child_seed, make_rng
 from bridgefill.trajectory import (
+    SOURCE_OBSERVED,
     GappedTrajectory,
     Trajectory,
     excise_gap,
@@ -382,6 +386,35 @@ def loop_gap(gapped):
         Trajectory(observed.times[[split - 1, split]],
                    observed.coords[[-1, split]]),
         1, gapped.missing_times)
+
+
+def copy_rows_by_line(src, traj: Trajectory, gapped: GappedTrajectory,
+                      fill=None) -> bytes:
+    """The bytes ``trajectory._copy_rows`` writes for the CSV ``src``, read
+    into ``traj``: each line of ``src`` that is not empty is a row, copied
+    with its ending made CRLF unless ``gapped`` removed it, and the
+    ``(coords, label)`` rows of ``fill`` are formatted by ``repr`` just
+    before row ``gapped.split``."""
+    gap = range(gapped.split, gapped.split + len(traj) - len(gapped.observed))
+    out = []
+    with open(src, encoding="utf-8-sig") as fin:
+        labelled = fin.readline().count(",") == 3
+        label = fill is not None and not labelled
+        out.append("t,x,y,source\r\n" if labelled or label else "t,x,y\r\n")
+        end = f",{SOURCE_OBSERVED}\r\n" if label else "\r\n"
+        n = 0
+        for line in fin:
+            if line == "\n":
+                continue
+            if n == gap.start and fill is not None:
+                coords, source = fill
+                for t, (x, y) in zip(gapped.missing_times.tolist(), coords.tolist()):
+                    out.append(f"{t!r},{x!r},{y!r},{source}\r\n")
+            if n not in gap:
+                out.append(line.rstrip("\n") + end)
+            n += 1
+    assert n == len(traj), f"{src} holds {n} rows, not {len(traj)}"
+    return "".join(out).encode("utf-8")
 
 
 def expected_rog_squared(gapped, sigma_m: float, start=None) -> float:

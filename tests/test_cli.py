@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bridgefill import cli
+from bridgefill import cli, trajectory
 from bridgefill.cli import _build_parser, _detect_gap, main
 from bridgefill.errors import BridgefillError
 from bridgefill.generators import MODEL_NAMES, _SPECS, spec_from_dict, spec_to_dict
@@ -784,6 +784,16 @@ class TestOutputReplace:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"bridgefill: error: {path_csv}: changed since it was read" in captured.err
+
+    @pytest.mark.parametrize("tamper", [_append_row, _touch, _drop_last_point])
+    @pytest.mark.parametrize("command", ["gap", "fill"])
+    def test_input_changed_after_read_is_data_error_across_blocks(
+            self, path_csv, tmp_path, capsys, monkeypatch, command, tamper):
+        # 64 characters hold one or two rows, so a count that is one short
+        # shows only after many blocks were written
+        monkeypatch.setattr(trajectory, "_COPY_BLOCK", 64)
+        self.test_input_changed_after_read_is_data_error(
+            path_csv, tmp_path, capsys, monkeypatch, command, tamper)
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="names a pipe by /dev/fd/N")

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import os
 import warnings
 
 import numpy as np
@@ -26,6 +27,8 @@ from bridgefill.trajectory import (
     splice_fill,
     write_trajectory_csv,
 )
+
+from .oracles import copy_rows_by_line
 
 
 def unit_path(n, slope=2.0):
@@ -414,3 +417,116 @@ class TestCsv:
             warnings.simplefilter("error")
             with pytest.raises(CsvFormatError, match="no data rows"):
                 read_trajectory_csv(path)
+
+
+# White space that the reader strips from a field. All but the space end a
+# line for ``str.splitlines``, but not for a file read as text.
+_PADS = " \x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _copy_input_rows(n, labelled=False):
+    """``n`` data rows of differing widths and spellings. The times jump by 4
+    at row ``n // 2``, so three integer times are missing there."""
+    rows = []
+    for i in range(n):
+        t, pad = i + 3 * (i >= n // 2), _PADS[i % len(_PADS)]
+        row = f"{t},{pad * (i % 3)}{i / 8},{-3 * i}e-1{pad * (i % 2)}"
+        rows.append(row + (",bridge" if i % 2 else ",observed") if labelled else row)
+    return rows
+
+
+def _lines(lines, *endings):
+    """``lines`` joined into text, each ended by the next of ``endings`` in turn."""
+    return "".join(line + endings[i % len(endings)] for i, line in enumerate(lines))
+
+
+def _copy_inputs(n):
+    rows = _copy_input_rows(n)
+    lf = _lines(["t,x,y", *rows], "\n")
+    blanks = ["t,x,y", ""]
+    for i, row in enumerate(rows):
+        blanks += [row, *[""] * ((i % 3 + 1) * (i % 4 == 0))]
+    return {
+        "lf": lf,
+        "cr": _lines(["t,x,y", *rows], "\r"),
+        "crlf": _lines(["t,x,y", *rows], "\r\n"),
+        "blank-lines": _lines([*blanks, "", ""], "\n", "\r\n", "\r"),
+        "bom": "\ufeff" + lf,
+        "no-final-break": lf[:-1],
+        "labelled": _lines(["t,x,y,source", *_copy_input_rows(n, labelled=True)], "\r\n"),
+    }
+
+
+# Row counts of the inputs: the default block must hold only part of its input.
+_COPY_INPUTS = {block: _copy_inputs(60 if block < 100 else 1000)
+                for block in (1, 2, 3, 7, trajectory._COPY_BLOCK)}
+
+
+def _first_block_rows(text, block):
+    """The rows in the first block that ``_copy_rows`` reads from ``text``:
+    ``block`` characters past the header, then on to the next line break."""
+    body = text.lstrip("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+    body = body.split("\n", 1)[1]
+    stop = body.find("\n", block)
+    return sum(1 for line in body[:None if stop < 0 else stop].split("\n") if line)
+
+
+def _copy_gaps(traj, edge):
+    """Gaps in ``traj`` whose rows ``_copy_rows`` drops, by name. ``edge`` is
+    the row count of the first block: row ``edge`` starts the second."""
+    n, hole, k = len(traj), len(traj) // 2, max(len(traj) // 8, 1)
+    return {
+        "middle": excise_gap(traj, n // 3, k),
+        "first": excise_gap(traj, 1, k),
+        "last": excise_gap(traj, n - 1 - k, k),
+        "empty": excise_gap(traj, n // 3, 0),
+        "from-edge": excise_gap(traj, edge, min(3, n - 1 - edge)),
+        "to-edge": excise_gap(traj, max(edge - 3, 1), edge - max(edge - 3, 1)),
+        # as ``fill`` detects a gap: the observed points are ``traj``
+        "detected": GappedTrajectory(traj, hole, traj.times[hole - 1] + [1.0, 2.0, 3.0]),
+        "detected-at-edge": GappedTrajectory(traj, edge, np.empty(0)),
+    }
+
+
+def _assert_copies_by_line(tmp_path, text, block):
+    """``_copy_rows`` of ``text`` equals the line-by-line copy byte for byte
+    for every gap of :func:`_copy_gaps`, with and without fill rows."""
+    src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    src.write_bytes(text.encode("utf-8"))
+    traj = read_trajectory_csv(src)
+    edge = _first_block_rows(text, block)
+    assert 1 <= edge < len(traj)  # the input spans more than one block
+    rng = np.random.default_rng(0)
+    for name, gapped in _copy_gaps(traj, edge).items():
+        for fill in (None, (rng.normal(size=(gapped.n_missing, 2)), "bridge")):
+            trajectory._copy_rows(src, os.stat(src), traj, gapped, out, fill)
+            assert out.read_bytes() == copy_rows_by_line(src, traj, gapped, fill), \
+                (name, fill is not None)
+
+
+class TestCopyRows:
+    """``_copy_rows`` reads its input a block at a time, each block ended on a
+    line break, and writes what the line-by-line copy writes."""
+
+    @pytest.mark.parametrize("name", _COPY_INPUTS[1])
+    @pytest.mark.parametrize("block", _COPY_INPUTS)
+    def test_equals_line_by_line_copy(self, tmp_path, monkeypatch, block, name):
+        monkeypatch.setattr(trajectory, "_COPY_BLOCK", block)
+        _assert_copies_by_line(tmp_path, _COPY_INPUTS[block][name], block)
+
+    @pytest.mark.parametrize("block", [7, trajectory._COPY_BLOCK])
+    @pytest.mark.parametrize("blank", [False, True], ids=["row", "empty-line"])
+    @pytest.mark.parametrize("shift", [-1, 0, 1],
+                             ids=["break-ends-read", "break-after-read", "row-crosses"])
+    @pytest.mark.parametrize("ending", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
+    def test_line_break_at_block_edge(self, tmp_path, monkeypatch, ending, shift,
+                                      blank, block):
+        # The first row is ``block + shift`` characters long, so the first
+        # read ends on its line break, just before it (splitting a CRLF pair
+        # from the row), or inside the row. With ``blank``, the line after it
+        # is empty: at the end of the first block, or the start of the next.
+        monkeypatch.setattr(trajectory, "_COPY_BLOCK", block)
+        first = "0,0," + " " * (block + shift - 5) + "0"
+        rows = _copy_input_rows(12)[1:]
+        text = _lines(["t,x,y", first, *[""] * blank, *rows], ending)
+        _assert_copies_by_line(tmp_path, text, block)
