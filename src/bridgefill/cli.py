@@ -50,7 +50,12 @@ from .gapfill import (
     fill_gap,
 )
 from .generators import MODEL_NAMES, generate, spec_from_dict
-from .metrics import path_lengths, radii_of_gyration, spliced_radii_of_gyration
+from .metrics import (
+    observed_sums,
+    path_lengths,
+    radii_of_gyration,
+    spliced_radii_of_gyration,
+)
 from .seeding import child_seed
 from .trajectory import (
     GappedTrajectory,
@@ -206,7 +211,7 @@ def _cmd_fill(args, parser) -> None:
     fill = fill_gap(gapped, sigma, args.seed)
     summary["expected_gap_length"] = estimate_gap_length(gapped, sigma)
     summary["rog_filled"] = float(
-        spliced_radii_of_gyration(gapped.observed.coords, fill.copy()))
+        spliced_radii_of_gyration(observed_sums(gapped.observed.coords), fill.copy()))
     text = _json_text(summary)  # before writing, so a non-finite result leaves no file
     _copy_rows(args.infile, status, traj, gapped, args.out, (fill, args.method))
     print(text)

@@ -25,11 +25,11 @@ steps and the gap, so the table runs in blocks of rows that bound memory
 and may span cells. Every stage makes one call over a block's rows: one
 ``generate_many`` call with each row's model spec (``generators`` groups
 the rows by model), excision by slicing at fixed indices, one estimator
-fit, then either the path lengths and chords or, for ``rog``, per fill
-method one kernel call that builds that method's fill of every row (the
-straight line being the bridge with sigma 0) and one
-``spliced_radii_of_gyration`` call that scores it against the observed
-points, with no spliced path built.
+fit, then either the path lengths and chords or, for ``rog``, one
+``observed_sums`` pass over the observed points and per fill method one
+kernel call that builds that method's fill of every row (the straight line
+being the bridge with sigma 0) and one ``spliced_radii_of_gyration`` call
+that scores it against those sums, with no spliced path built.
 A block gives each per-replicate value once, as a (rows,) array, and each
 per-method value as a (2, rows) array, the fill method on axis 0 in
 ``METHODS`` order.
@@ -91,7 +91,12 @@ from .generators import (
     spec_from_dict,
     spec_to_dict,
 )
-from .metrics import path_lengths, radii_of_gyration, spliced_radii_of_gyration
+from .metrics import (
+    observed_sums,
+    path_lengths,
+    radii_of_gyration,
+    spliced_radii_of_gyration,
+)
 from .seeding import child_states, rngs_from_words
 
 PATH_LENGTH_KIND = "path-length"
@@ -288,8 +293,9 @@ def _run_block(config: ExperimentConfig, seeds: np.ndarray, words: np.ndarray,
     for i, rng in enumerate(rngs_from_words(words[lo:hi, 1])):
         rng.standard_normal(out=noise[i])
     shift = times[left + 1:right] - times[left]
+    sums = observed_sums(observed)
     rog_after = np.array([
-        spliced_radii_of_gyration(observed, _kernels.bridge_paths(
+        spliced_radii_of_gyration(sums, _kernels.bridge_paths(
             coords[:, -1], coords[:, right], duration, s, shift, noise))
         for s in (sigma, 0.0)])  # METHODS order
     rog_before = radii_of_gyration(coords)

@@ -15,7 +15,9 @@ filled ones (``source`` in {observed, bridge, linear}).
 CSV dialect: comma-separated rows ending in CRLF, no quoting and no comment
 lines. The reader accepts any line ending, an optional UTF-8 byte-order
 mark and empty lines, which it skips, and parses the rows with
-``np.loadtxt``, which also sets the accepted number syntax. Floats the
+``np.loadtxt``, which also sets the accepted number syntax: a regular file
+by name, which numpy's reader takes in chunks, and any other input, such as
+a pipe, line by line from the open file, to the same rows. Floats the
 package computes are written with ``repr``, which round-trips doubles
 exactly. The CLI's ``fill`` and ``gap`` copy each observed row's text from
 their input instead, ending it in CRLF, so a row keeps its own spelling of
@@ -215,6 +217,8 @@ _WRITE_CHUNK = 1024
 _COPY_BLOCK = 8192
 # The dialect has no quoting, so a label may not hold a field or row separator.
 _SEPARATORS = (",", "\r", "\n")
+# Suffixes by which numpy's DataSource decompresses a file it opens by name.
+_PACKED_SUFFIXES = (".bz2", ".gz", ".xz", ".lzma")
 
 
 def _write_rows(fh, times: np.ndarray, coords: np.ndarray,
@@ -276,8 +280,33 @@ def _bad_row(path: str | Path, n_fields: int) -> str | None:
     return None
 
 
+def _chunked_name(fh, path: str | Path) -> str | None:
+    """The name by which ``np.loadtxt`` may open again the file ``fh``,
+    opened from ``path``, to parse it in chunks; None where it must iterate
+    over ``fh`` a line at a time.
+
+    Only a regular file can be opened again: a pipe would read empty. A name
+    goes through numpy's DataSource, which needs a current directory, fetches
+    a URL and decompresses by suffix, so such names are not given to it.
+    """
+    name = os.fspath(path)
+    if (not stat.S_ISREG(os.fstat(fh.fileno()).st_mode) or "://" in name
+            or name.endswith(_PACKED_SUFFIXES)):
+        return None
+    try:
+        os.getcwd()
+    except OSError:  # the current directory was removed
+        return None
+    return name
+
+
 def read_trajectory_csv(path: str | Path) -> Trajectory:
     """Read a trajectory CSV written by :func:`write_trajectory_csv`.
+
+    The header is checked on the open file. The rows of a regular file are
+    parsed by ``np.loadtxt`` from the file's name, in chunks; those of any
+    other input, such as a pipe named ``/dev/fd/N``, which cannot be opened
+    again, line by line from the open file (see :func:`_chunked_name`).
 
     Every data error names the file: CsvFormatError on a bad header or row,
     naming the row's file line, or on bytes that do not decode as text;
@@ -298,13 +327,15 @@ def read_trajectory_csv(path: str | Path) -> Trajectory:
                 )
             with_source = len(header) == 4
             dtype = [(name, object if name == "source" else float) for name in header]
+            name = _chunked_name(fh, path)
             try:
                 with warnings.catch_warnings():
                     # a header-only file is reported below as "no data rows"
                     warnings.filterwarnings(
                         "ignore", "loadtxt: input contained no data", UserWarning)
-                    rows = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
-                                      ndmin=1)
+                    rows = np.loadtxt(fh if name is None else name, dtype=dtype,
+                                      delimiter=",", comments=None, ndmin=1,
+                                      skiprows=int(name is not None), encoding="utf-8-sig")
             except ValueError as exc:
                 where = _bad_row(path, len(header))
                 raise CsvFormatError(

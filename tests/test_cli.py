@@ -14,7 +14,11 @@ from bridgefill import cli, trajectory
 from bridgefill.cli import _build_parser, _detect_gap, main
 from bridgefill.errors import BridgefillError
 from bridgefill.generators import MODEL_NAMES, _SPECS, spec_from_dict, spec_to_dict
-from bridgefill.metrics import radii_of_gyration, spliced_radii_of_gyration
+from bridgefill.metrics import (
+    observed_sums,
+    radii_of_gyration,
+    spliced_radii_of_gyration,
+)
 from bridgefill.trajectory import (
     Trajectory,
     read_trajectory_csv,
@@ -55,7 +59,7 @@ class TestFill:
         assert np.array_equal(filled.coords[keep], original.coords[keep])
         rog = summary["rog_filled"]
         fill = filled.coords[20:30].copy()
-        assert rog == spliced_radii_of_gyration(filled.coords[keep], fill)
+        assert rog == spliced_radii_of_gyration(observed_sums(filled.coords[keep]), fill)
         assert rog == pytest.approx(radii_of_gyration(filled.coords), rel=1e-13, abs=0)
 
     def test_linear_fill_lies_on_anchor_chord(self, path_csv, tmp_path, capsys):
@@ -198,6 +202,16 @@ class TestFill:
         assert capsys.readouterr().err.startswith("bridgefill: error: ")
         assert not out.exists()
 
+    def test_too_many_realisations_of_empty_gap_is_data_error(self, path_csv, tmp_path,
+                                                               capsys):
+        # nothing is drawn, but one radius per realisation would be held
+        out = tmp_path / "o.csv"
+        assert main(["fill", "--in", str(path_csv), "--gap-start", "20",
+                     "--gap-count", "0", "--realisations", str(10**20),
+                     "--out", str(out)]) == 3
+        assert "too many for one float array" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_overflowing_variance_is_data_error(self, path_csv, tmp_path, capsys):
         # sigma_m is finite, but the variance sigma_m^2 T k of a bridge
         # through k missing points is not; the message names its factors.
@@ -332,6 +346,22 @@ class TestGapAndMetrics:
             np.linalg.norm(np.diff(c, axis=0), axis=1).sum(), rel=1e-12)
         assert got["rog"] == pytest.approx(
             np.sqrt(np.mean(np.sum((c - c.mean(axis=0)) ** 2, axis=1))), rel=1e-12)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="names a pipe by /dev/fd/N")
+    @pytest.mark.parametrize("command", ["estimate", "metrics"])
+    def test_piped_input_reads_as_the_file(self, path_csv, capsys, command):
+        # A pipe cannot be opened again by name, so it is parsed line by line.
+        assert main([command, "--in", str(path_csv)]) == 0
+        from_file = capsys.readouterr().out
+        read, write = os.pipe()
+        try:
+            os.write(write, path_csv.read_bytes())  # within the pipe's buffer
+            os.close(write)
+            assert main([command, "--in", f"/dev/fd/{read}"]) == 0
+        finally:
+            os.close(read)
+        assert capsys.readouterr().out == from_file
 
     def test_repeated_timestamp_is_data_error_naming_the_file(self, tmp_path, capsys):
         src = tmp_path / "in.csv"

@@ -1,13 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from bridgefill import _kernels
+from bridgefill import _kernels, gapfill
 from bridgefill.errors import DomainError
 from bridgefill.gapfill import estimate_gap_rog, fill_gap
 from bridgefill.generators import AngularWalk, generate
-from bridgefill.metrics import radii_of_gyration
+from bridgefill.metrics import (
+    observed_sums,
+    radii_of_gyration,
+    spliced_radii_of_gyration,
+)
 from bridgefill.seeding import make_rng
 from bridgefill.trajectory import Trajectory, excise_gap
 
@@ -105,6 +110,47 @@ class TestEstimateGapRog:
         mean = math.fsum(rogs) / 200
         assert est.mean == mean
         assert est.std_error == math.sqrt(math.fsum((rogs - mean) ** 2) / 199 / 200)
+
+    # Blocks of b = 4 realisations of the 25-point gap: b - 1, b, b + 1 and
+    # 2b + 1 realisations.
+    @pytest.mark.parametrize("realisations, blocks",
+                             [(3, [3]), (4, [4]), (5, [4, 1]), (9, [4, 4, 1])])
+    def test_blocks_equal_one_array(self, monkeypatch, realisations, blocks):
+        monkeypatch.setattr(gapfill, "_ROG_BLOCK_POINTS", 100)
+        calls = []
+        kernel = _kernels.bridge_paths
+        monkeypatch.setattr(_kernels, "bridge_paths",
+                            lambda *args: calls.append(len(args[-1])) or kernel(*args))
+        gapped, rng = _gapped(25), np.random.default_rng(7)
+        est = estimate_gap_rog(gapped, 1.3, realisations, rng)
+        assert calls == blocks
+        # the whole draw at once, scored in one call
+        observed, left = gapped.observed, gapped.split - 1
+        ref = np.random.default_rng(7)
+        fills = kernel(observed.coords[left], observed.coords[left + 1], gapped.duration,
+                       1.3, gapped.missing_times - observed.times[left],
+                       ref.standard_normal((realisations, 25, 2)))
+        rogs = spliced_radii_of_gyration(observed_sums(observed.coords), fills)
+        mean = math.fsum(rogs) / realisations
+        assert est.mean == mean
+        assert est.std_error == math.sqrt(
+            math.fsum((rogs - mean) ** 2) / (realisations - 1) / realisations)
+        # and the blocks left the stream where one draw leaves it
+        assert rng.random() == ref.random()
+
+    def test_memory_does_not_grow_with_realisations(self):
+        # 1000 bridges of a 1000-point gap, one (1000, 1000, 2) float array
+        # of 16 MB if drawn at once. The 2 MB bound was fixed before the
+        # first run.
+        walk = np.cumsum(np.random.default_rng(4).standard_normal((3000, 2)), axis=0)
+        gapped = excise_gap(Trajectory(np.arange(3000.0), walk), 1000, 1000)
+        tracemalloc.start()
+        try:
+            estimate_gap_rog(gapped, 1.3, 1000, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
     def test_translation_invariant(self):
         near = estimate_gap_rog(_gapped(25), 1.3, 200, 7)

@@ -5,7 +5,12 @@ import pytest
 
 from bridgefill.gapfill import fill_gap
 from bridgefill.generators import AngularWalk, generate
-from bridgefill.metrics import path_lengths, radii_of_gyration, spliced_radii_of_gyration
+from bridgefill.metrics import (
+    observed_sums,
+    path_lengths,
+    radii_of_gyration,
+    spliced_radii_of_gyration,
+)
 from bridgefill.trajectory import Trajectory, excise_gap
 
 from .oracles import gap_rogs_interleaved, loop_gap, radii_of_gyration_interleaved
@@ -57,9 +62,9 @@ def test_spliced_rogs_equal_interleaved_reference(k):
     # experiment's, (m, n, 2) with (2, m, k, 2), one row at a time.
     observed = _walks(1, (3, 40, 2), [[0.0, 0.0], [1e6, -1e6], [-50.0, 20.0]])
     fills = _walks(2, (2, 3, k, 2), observed[:, -1])
-    single = spliced_radii_of_gyration(observed[0], fills[0].copy())
+    single = spliced_radii_of_gyration(observed_sums(observed[0]), fills[0].copy())
     assert np.array_equal(single, gap_rogs_interleaved(observed[0], fills[0]))
-    batched = spliced_radii_of_gyration(observed, fills.copy())
+    batched = spliced_radii_of_gyration(observed_sums(observed), fills.copy())
     assert batched.shape == (2, 3)
     for j, i in np.ndindex(2, 3):
         assert batched[j, i] == gap_rogs_interleaved(observed[i], fills[j, i][None])[0]
@@ -80,5 +85,5 @@ def test_spliced_rogs_equal_rogs_of_spliced_paths(anchors):
     coords, split = gapped.observed.coords, gapped.split
     paths = np.array([np.concatenate([coords[:split], fill, coords[split:]])
                       for fill in fills])
-    np.testing.assert_allclose(spliced_radii_of_gyration(coords, fills),
+    np.testing.assert_allclose(spliced_radii_of_gyration(observed_sums(coords), fills),
                                radii_of_gyration(paths), rtol=1e-13, atol=0.0)

@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import os
+import sys
 import warnings
 
 import numpy as np
@@ -417,6 +418,100 @@ class TestCsv:
             warnings.simplefilter("error")
             with pytest.raises(CsvFormatError, match="no data rows"):
                 read_trajectory_csv(path)
+
+
+def _through_pipe(data: bytes) -> Trajectory:
+    """``read_trajectory_csv`` of ``data`` from a pipe named ``/dev/fd/N``,
+    which cannot be opened again, so the reader parses it line by line."""
+    read, write = os.pipe()
+    try:
+        os.write(write, data)  # every input here fits the pipe's buffer
+        os.close(write)
+        return read_trajectory_csv(f"/dev/fd/{read}")
+    finally:
+        os.close(read)
+
+
+def _walk_csv(n: int) -> bytes:
+    """A written ``n``-point walk, CRLF rows of ``repr`` floats."""
+    coords = np.cumsum(np.random.default_rng(2).standard_normal((n, 2)), axis=0)
+    out = io.StringIO(newline="")
+    trajectory._write_rows(out, np.arange(float(n)) / 7.0, coords, None)
+    return b"t,x,y\r\n" + out.getvalue().encode()
+
+
+# Inputs of every kind the reader accepts, each read from a regular file by
+# name and from a pipe line by line.
+_READ_INPUTS = {
+    "plain": _walk_csv(700),
+    "lf": _walk_csv(30).replace(b"\r\n", b"\n"),
+    "labelled": (b"t,x,y,source\r\n0,0,0,observed\r\n1,0.5,-0.5,bridge\r\n"
+                 b"2,1,1,linear\r\n"),
+    "cr": b"t,x,y\r0,0.1,-0.5\r1, 2.5 ,1e5\r2,-0.0,4",
+    "bom": b"\xef\xbb\xbft,x,y\r\n0,0,0\r\n1,1,1\r\n",
+    "blank": b"t,x,y\n\n0,0,0\r\n\r\n1,1e300,1\n\n\n2,2,2\r\r\n",
+}
+_LINUX = pytest.mark.skipif(not sys.platform.startswith("linux"),
+                            reason="names a pipe by /dev/fd/N")
+
+
+def _assert_same(got: Trajectory, want: Trajectory) -> None:
+    assert got.times.tobytes() == want.times.tobytes()
+    assert got.coords.tobytes() == want.coords.tobytes()
+    assert got.sources == want.sources
+
+
+class TestChunkedRead:
+    @_LINUX
+    @pytest.mark.parametrize("kind", sorted(_READ_INPUTS))
+    def test_pipe_reads_as_regular_file(self, tmp_path, kind):
+        path = tmp_path / "in.csv"
+        path.write_bytes(_READ_INPUTS[kind])
+        _assert_same(_through_pipe(_READ_INPUTS[kind]), read_trajectory_csv(path))
+
+    def test_regular_file_is_named(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_bytes(_READ_INPUTS["plain"])
+        with open(path) as fh:
+            assert trajectory._chunked_name(fh, path) == str(path)
+
+    def test_pipe_is_not_named(self):
+        read, write = os.pipe()
+        try:
+            with open(read, closefd=False) as fh:
+                assert trajectory._chunked_name(fh, f"/dev/fd/{read}") is None
+        finally:
+            os.close(read)
+            os.close(write)
+
+    # numpy would fetch the URL, or open the file as compressed
+    @pytest.mark.parametrize("name", ["http://host/in.csv", "a/b://c.csv",
+                                      "in.csv.gz", "in.csv.bz2", "in.csv.xz",
+                                      "in.csv.lzma"])
+    def test_names_numpy_would_not_open_plainly_are_not_named(self, tmp_path, name):
+        path = tmp_path / "in.csv"
+        path.write_bytes(_READ_INPUTS["plain"])
+        with open(path) as fh:
+            assert trajectory._chunked_name(fh, name) is None
+
+    def test_plain_csv_named_as_compressed_reads(self, tmp_path):
+        plain, packed = tmp_path / "in.csv", tmp_path / "in.csv.gz"
+        plain.write_bytes(_READ_INPUTS["plain"])
+        packed.write_bytes(_READ_INPUTS["plain"])
+        _assert_same(read_trajectory_csv(packed), read_trajectory_csv(plain))
+
+    def test_removed_current_directory_reads(self, tmp_path, monkeypatch):
+        # numpy's DataSource asks for the current directory, which is gone
+        path = tmp_path / "in.csv"
+        path.write_bytes(_READ_INPUTS["plain"])
+        want = read_trajectory_csv(path)
+        gone = tmp_path / "gone"
+        gone.mkdir()
+        monkeypatch.chdir(gone)
+        gone.rmdir()
+        with open(path) as fh:
+            assert trajectory._chunked_name(fh, path) is None
+        _assert_same(read_trajectory_csv(path), want)
 
 
 # White space that the reader strips from a field. All but the space end a
