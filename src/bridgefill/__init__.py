@@ -24,7 +24,6 @@ from .errors import (
     NonFiniteError,
     NonMonotonicTimeError,
     OutOfRangeError,
-    TimeMismatchError,
     TooFewPointsError,
 )
 from .estimator import SigmaEstimate, estimate_sigma
@@ -60,7 +59,6 @@ from .trajectory import (
     Trajectory,
     excise_gap,
     read_trajectory_csv,
-    splice_fill,
     write_trajectory_csv,
 )
 
@@ -72,7 +70,7 @@ __all__ = [
     "__version__",
     "BACKEND",
     # trajectory
-    "Trajectory", "GappedTrajectory", "excise_gap", "splice_fill",
+    "Trajectory", "GappedTrajectory", "excise_gap",
     "read_trajectory_csv", "write_trajectory_csv",
     # bridge
     "expected_path_length", "rice_mean",
@@ -92,6 +90,6 @@ __all__ = [
     "child_seed", "make_rng",
     # errors
     "BridgefillError", "NonMonotonicTimeError", "NonFiniteError",
-    "OutOfRangeError", "TimeMismatchError", "TooFewPointsError",
+    "OutOfRangeError", "TooFewPointsError",
     "DomainError", "InvalidSpecError", "CsvFormatError",
 ]

@@ -17,10 +17,6 @@ class OutOfRangeError(BridgefillError, ValueError):
     """A gap specification would remove an anchor point."""
 
 
-class TimeMismatchError(BridgefillError, ValueError):
-    """Fill timestamps do not match the missing timestamps."""
-
-
 class TooFewPointsError(BridgefillError, ValueError):
     """Not enough points to build at least one bridge triple."""
 

@@ -2,8 +2,9 @@
 bridge from the gap's left anchor to its right one with ``fill_gap``, and
 estimate the gap's path length (closed form) and radius of gyration (Monte
 Carlo) for a given diffusion coefficient. The straight-line fill is the
-bridge at ``sigma_m = 0``. Fills are ``(n_missing, 2)`` position arrays at
-the gap's missing times, ready for ``splice_fill``."""
+bridge at ``sigma_m = 0``. Fills are ``(n_missing, 2)`` position arrays,
+one row per time of ``gapped.missing_times``, to be inserted into the
+observed points at ``gapped.split``."""
 
 from __future__ import annotations
 

@@ -1,5 +1,5 @@
-"""Trajectory data model: time-stamped 2-D positions as arrays, gap excision
-and splicing, CSV IO.
+"""Trajectory data model: time-stamped 2-D positions as arrays, gap excision,
+CSV IO.
 
 A trajectory is an ordered sequence of (t, x, y) samples with strictly
 increasing, finite timestamps. A gapped trajectory is the observed
@@ -42,7 +42,6 @@ from .errors import (
     NonFiniteError,
     NonMonotonicTimeError,
     OutOfRangeError,
-    TimeMismatchError,
 )
 
 SOURCE_OBSERVED = "observed"
@@ -172,35 +171,6 @@ def excise_gap(traj: Trajectory, from_index: int, count: int) -> GappedTrajector
     observed = Trajectory(np.delete(traj.times, gap), np.delete(traj.coords, gap, axis=0),
                           sources)
     return GappedTrajectory(observed, from_index, traj.times[gap])
-
-
-def splice_fill(
-    gapped: GappedTrajectory,
-    coords: np.ndarray,
-    source: str = "fill",
-) -> Trajectory:
-    """Insert fill positions into the observed points at ``gapped.split``,
-    as one labelled trajectory.
-
-    ``coords`` holds one (x, y) row per missing time, shape
-    ``(gapped.n_missing, 2)``, otherwise TimeMismatchError; the fill takes
-    its timestamps from ``missing_times``. Observed points keep their own
-    labels, or are labelled "observed" if they have none, and fill points
-    are labelled with ``source``.
-    """
-    coords = np.asarray(coords, dtype=float)
-    if coords.shape != (gapped.n_missing, 2):
-        raise TimeMismatchError(
-            f"fill has shape {coords.shape}, the gap needs "
-            f"({gapped.n_missing}, 2)"
-        )
-    observed, split = gapped.observed, gapped.split
-    labels = observed.sources
-    if labels is None:
-        labels = (SOURCE_OBSERVED,) * len(observed)
-    sources = labels[:split] + (source,) * gapped.n_missing + labels[split:]
-    return Trajectory(np.insert(observed.times, split, gapped.missing_times),
-                      np.insert(observed.coords, split, coords, axis=0), sources)
 
 
 # Rows formatted per ``write`` call. A chunk is held as per-column lists and
@@ -395,6 +365,9 @@ def _copy_rows(
     the ``(coords, label)`` rows of ``fill``, if given, at ``gapped.split``
     and the times ``gapped.missing_times``. ``gapped`` comes from
     :func:`excise_gap` on ``traj``, or has ``traj`` as its observed points.
+    The schema comes from ``traj``: its rows have a ``source`` field when
+    ``traj.sources`` is not None. The header of ``src`` is skipped, not
+    parsed again.
 
     Kept rows are copied as text, a block at a time. A block is
     :data:`_COPY_BLOCK` characters and the rest of the line that the last of
@@ -422,7 +395,8 @@ def _copy_rows(
     with _replacing(out) as fout, open(src, encoding="utf-8-sig") as fin:
         if changed(fin):
             raise BridgefillError(f"{src}: changed since it was read")
-        labelled = fin.readline().count(",") == 3
+        fin.readline()
+        labelled = traj.sources is not None
         label = fill is not None and not labelled
         fout.write("t,x,y,source\r\n" if labelled or label else "t,x,y\r\n")
         end = f",{SOURCE_OBSERVED}\r\n" if label else "\r\n"

@@ -846,6 +846,26 @@ class TestOutputReplace:
         assert (f"bridgefill: error: /dev/fd/{read}: --in is read twice, so it must "
                 "be a regular file") in captured.err
 
+    @pytest.mark.skipif(os.name != "posix", reason="makes a named FIFO")
+    @pytest.mark.parametrize("command", ["gap", "fill"])
+    def test_named_fifo_is_refused_unopened(self, tmp_path, capsys, monkeypatch,
+                                            command):
+        # Opening a FIFO without a writer blocks, so the guard must refuse it
+        # by its stat alone. A read fails the test instead of hanging it.
+        def read(path):
+            raise AssertionError(f"{path} was read")
+        monkeypatch.setattr(cli, "read_trajectory_csv", read)
+        fifo, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        os.mkfifo(fifo)
+        out.write_bytes(b"kept as it was\n")
+        assert _run(command, fifo, out, *GAP) == 3
+        assert out.read_bytes() == b"kept as it was\n"
+        assert sorted(os.listdir(tmp_path)) == ["in.csv", "out.csv"]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"bridgefill: error: {fifo}: --in is read twice, so it must "
+                "be a regular file") in captured.err
+
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="names a file by /dev/fd/N")
     @pytest.mark.parametrize("command", ["gap", "fill"])

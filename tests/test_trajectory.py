@@ -16,7 +16,6 @@ from bridgefill.errors import (
     NonFiniteError,
     NonMonotonicTimeError,
     OutOfRangeError,
-    TimeMismatchError,
 )
 from bridgefill.metrics import path_lengths
 from bridgefill.trajectory import (
@@ -25,7 +24,6 @@ from bridgefill.trajectory import (
     Trajectory,
     excise_gap,
     read_trajectory_csv,
-    splice_fill,
     write_trajectory_csv,
 )
 
@@ -137,6 +135,23 @@ class TestExciseGap:
         with pytest.raises(OutOfRangeError):
             excise_gap(unit_path(10), 2, -1)
 
+    @given(
+        n=st.integers(min_value=3, max_value=40),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip(self, n, data):
+        # inserting the removed points at ``split`` rebuilds the input
+        from_index = data.draw(st.integers(min_value=1, max_value=n - 2))
+        count = data.draw(st.integers(min_value=0, max_value=n - 1 - from_index))
+        traj = unit_path(n)
+        gapped = excise_gap(traj, from_index, count)
+        removed = traj.coords[from_index:from_index + count]
+        times = np.insert(gapped.observed.times, gapped.split, gapped.missing_times)
+        coords = np.insert(gapped.observed.coords, gapped.split, removed, axis=0)
+        assert np.array_equal(times, traj.times)
+        assert np.array_equal(coords, traj.coords)
+
 
 class TestGappedTrajectory:
     @pytest.mark.parametrize("split", [0, 2, -1])
@@ -165,60 +180,6 @@ class TestGappedTrajectory:
             GappedTrajectory(observed, 1, np.array([]))
 
 
-class TestSpliceFill:
-    def test_empty_fill_concatenates(self):
-        gapped = excise_gap(unit_path(5), 2, 0)
-        merged = splice_fill(gapped, np.empty((0, 2)))
-        assert len(merged) == 5
-        assert merged.sources == ("observed",) * 5
-
-    def test_linear_fill_positions(self):
-        gapped = GappedTrajectory(
-            observed=Trajectory([0.0, 5.0], [[0.0, 0.0], [10.0, 0.0]]),
-            split=1,
-            missing_times=np.array([1.0, 2.0, 3.0, 4.0]),
-        )
-        from bridgefill.gapfill import fill_gap
-
-        merged = splice_fill(gapped, fill_gap(gapped, 0.0, 0), "linear")
-        assert merged.coords[:, 0].tolist() == [0, 2, 4, 6, 8, 10]
-        assert merged.sources == ("observed",) + ("linear",) * 4 + ("observed",)
-
-    def test_observed_labels_are_kept(self):
-        traj = unit_path(6)
-        labelled = Trajectory(traj.times, traj.coords,
-                              ("observed", "bridge", "observed", "observed",
-                               "linear", "observed"))
-        gapped = excise_gap(labelled, 2, 2)
-        merged = splice_fill(gapped, traj.coords[2:4], "bridge")
-        assert merged.sources == ("observed", "bridge", "bridge", "bridge",
-                                  "linear", "observed")
-
-    def test_wrong_shape_rejected(self):
-        gapped = excise_gap(unit_path(5), 2, 1)
-        with pytest.raises(TimeMismatchError):
-            splice_fill(gapped, np.zeros((2, 2)))
-        with pytest.raises(TimeMismatchError):
-            splice_fill(gapped, np.empty((0, 2)))
-        with pytest.raises(TimeMismatchError):
-            splice_fill(gapped, np.zeros(2))
-
-    @given(
-        n=st.integers(min_value=3, max_value=40),
-        data=st.data(),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_round_trip(self, n, data):
-        from_index = data.draw(st.integers(min_value=1, max_value=n - 2))
-        count = data.draw(st.integers(min_value=0, max_value=n - 1 - from_index))
-        traj = unit_path(n)
-        gapped = excise_gap(traj, from_index, count)
-        removed = traj.coords[from_index:from_index + count]
-        merged = splice_fill(gapped, removed)
-        assert np.array_equal(merged.times, traj.times)
-        assert np.array_equal(merged.coords, traj.coords)
-
-
 class TestCsv:
     def test_round_trip_is_bit_identical(self, tmp_path):
         traj = Trajectory(
@@ -234,15 +195,16 @@ class TestCsv:
         assert np.array_equal(back.coords, traj.coords)
 
     def test_header_and_source_column(self, tmp_path):
-        gapped = excise_gap(unit_path(5), 2, 1)
-        merged = splice_fill(gapped, np.array([[1.5, 2.5]]), "bridge")
+        traj = unit_path(5)
+        labelled = Trajectory(traj.times, traj.coords,
+                              ("observed", "observed", "bridge", "observed", "observed"))
         path = tmp_path / "filled.csv"
-        write_trajectory_csv(path, merged)
+        write_trajectory_csv(path, labelled)
         text = path.read_text().splitlines()
         assert text[0] == "t,x,y,source"
         assert text[3].endswith(",bridge")
         back = read_trajectory_csv(path)
-        assert back.sources == merged.sources
+        assert back.sources == labelled.sources
 
     def test_plain_header(self, tmp_path):
         path = tmp_path / "t.csv"
