@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _check_scale
 
 # x = a^2 / (2b) above which rice_mean sums the large-x expansion.
 SERIES_ASYM_SEAM = 32.0
@@ -42,10 +42,8 @@ def rice_mean(a: float, b: float) -> float:
     that overflows to inf gives exactly ``a``: the distribution is then a
     point mass at a.
     """
-    if not (math.isfinite(a) and a >= 0.0):
-        raise DomainError(f"a must be finite and >= 0, got {a!r}")
-    if not (math.isfinite(b) and b > 0.0):
-        raise DomainError(f"b must be finite and > 0, got {b!r}")
+    _check_scale("a", a, error=DomainError)
+    _check_scale("b", b, positive=True, error=DomainError)
     x = a / b * a / 2.0  # never NaN: a / b is 0 when a is
     term = total = 1.0
     k = 0
@@ -80,10 +78,8 @@ def expected_path_length(
     """
     if not isinstance(segments, (int, np.integer)) or segments < 1:
         raise DomainError(f"segments must be an integer >= 1, got {segments!r}")
-    if not (math.isfinite(duration) and duration > 0.0):
-        raise DomainError(f"duration must be > 0, got {duration!r}")
-    if not (math.isfinite(sigma_m) and sigma_m >= 0.0):
-        raise DomainError(f"sigma_m must be finite and >= 0, got {sigma_m!r}")
+    _check_scale("duration", duration, positive=True, error=DomainError)
+    _check_scale("sigma_m", sigma_m, error=DomainError)
     dx, dy = map(float, displacement)
     d_norm = math.hypot(dx, dy)
     if not math.isfinite(d_norm):

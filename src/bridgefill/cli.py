@@ -22,6 +22,7 @@ run-tumble: l, v.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -69,16 +70,20 @@ from .trajectory import (
 DATA_ERROR = 3
 
 
-def _seed(text: str) -> int:
-    """argparse type of the ``--seed`` flags: a non-negative integer."""
-    message = f"expected a non-negative integer, got {text!r}"
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(message) from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(message)
-    return value
+def _bounded(cast, ok, expected: str):
+    """An argparse type: ``cast`` of the flag's text, refused as not
+    ``expected`` when the cast fails or ``ok`` of its value is false."""
+    def parse(text: str):
+        with contextlib.suppress(ValueError):
+            if ok(value := cast(text)):
+                return value
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return parse
+
+
+_seed = _bounded(int, lambda v: v >= 0, "a non-negative integer")
+_count = _bounded(int, lambda v: v >= 1, "an integer >= 1")
+_scale = _bounded(float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
 
 
 def _parse_params(pairs: list[str], parser: argparse.ArgumentParser) -> dict:
@@ -168,12 +173,6 @@ def _cmd_metrics(args, parser) -> None:
 
 
 def _cmd_fill(args, parser) -> None:
-    if args.realisations < 1:
-        parser.error(f"--realisations must be >= 1, got {args.realisations}")
-    if args.sigma is not None and not (
-        math.isfinite(args.sigma) and args.sigma >= 0.0
-    ):
-        parser.error(f"--sigma must be finite and >= 0, got {args.sigma!r}")
     if args.method == "linear" and args.sigma is not None:
         parser.error("--sigma applies to --method bridge only")
     if (args.gap_start is None) != (args.gap_count is None):
@@ -288,11 +287,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gap-count", type=int, default=None)
     p.add_argument("--method", choices=METHODS, default="bridge",
                    help="linear is the bridge with no diffusion")
-    p.add_argument("--sigma", type=float, default=None,
+    p.add_argument("--sigma", type=_scale, default=None,
                    help="skip estimation and use this diffusion coefficient "
                         "(bridge only)")
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--realisations", type=int, default=DEFAULT_ROG_REALISATIONS,
+    p.add_argument("--realisations", type=_count, default=DEFAULT_ROG_REALISATIONS,
                    help="Monte-Carlo realisations for the RoG estimate "
                         "(bridge only)")
     p.add_argument("--out", required=True)

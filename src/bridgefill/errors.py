@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of a scale
+argument (a diffusion coefficient, a duration, a Gaussian parameter or a
+model's step) that must be finite and non-negative, or positive."""
+
+import math
 
 
 class BridgefillError(Exception):
@@ -31,3 +35,13 @@ class InvalidSpecError(BridgefillError, ValueError):
 
 class CsvFormatError(BridgefillError, ValueError):
     """A CSV file does not follow the expected trajectory schema."""
+
+
+def _check_scale(name: str, value: float, positive: bool = False,
+                 error: type[BridgefillError] = InvalidSpecError) -> None:
+    """Raise ``error`` unless ``value`` is finite and >= 0, or > 0 if
+    ``positive``. The default suits the model specs; the math layers pass
+    DomainError."""
+    if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+        bound = "> 0" if positive else ">= 0"
+        raise error(f"{name} must be finite and {bound}, got {value!r}")

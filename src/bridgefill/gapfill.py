@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _kernels
 from .bridge import expected_path_length
-from .errors import DomainError
+from .errors import DomainError, _check_scale
 from .metrics import observed_sums, spliced_radii_of_gyration
 from .seeding import make_rng
 from .trajectory import GappedTrajectory
@@ -34,8 +34,7 @@ def _bridges(
 ) -> np.ndarray:
     """``n`` bridges between the gap's anchors at ``gapped.missing_times``;
     shape (n, n_missing, 2)."""
-    if not (math.isfinite(sigma_m) and sigma_m >= 0.0):
-        raise DomainError(f"sigma_m must be finite and >= 0, got {sigma_m!r}")
+    _check_scale("sigma_m", sigma_m, error=DomainError)
     observed, left = gapped.observed, gapped.split - 1
     shifted = gapped.missing_times - observed.times[left]
     noise = make_rng(rng).standard_normal((n, gapped.n_missing, 2))

@@ -39,18 +39,11 @@ from typing import ClassVar, Sequence, Union
 import numpy as np
 
 from . import _kernels
-from .errors import InvalidSpecError
+from .errors import InvalidSpecError, _check_scale
 from .seeding import make_rng
 from .trajectory import Trajectory
 
 _TWO_PI = 2.0 * math.pi
-
-
-def _check_scale(name: str, value: float, positive: bool = False) -> None:
-    ok = math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)
-    if not ok:
-        bound = "> 0" if positive else ">= 0"
-        raise InvalidSpecError(f"{name} must be finite and {bound}, got {value!r}")
 
 
 # Internal-state transition probabilities. Moving: keep heading, turn left,
@@ -233,10 +226,14 @@ def generate_many(
     if not rngs:
         raise InvalidSpecError("at least one seed is required")
     coords = np.zeros((len(rngs), steps + 1, 2))
-    for model in dict.fromkeys(map(type, specs)):
-        rows = [i for i, spec in enumerate(specs) if type(spec) is model]
-        coords[rows, 1:] = _steps(model, [specs[i] for i in rows], steps,
-                                  [rngs[i] for i in rows])
+    # A scale near the float limit overflows to non-finite points, which
+    # Trajectory refuses and experiment summaries leave out; as in every other
+    # numeric layer, that is not a RuntimeWarning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for model in dict.fromkeys(map(type, specs)):
+            rows = [i for i, spec in enumerate(specs) if type(spec) is model]
+            coords[rows, 1:] = _steps(model, [specs[i] for i in rows], steps,
+                                      [rngs[i] for i in rows])
     return coords
 
 

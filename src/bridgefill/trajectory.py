@@ -175,9 +175,9 @@ def excise_gap(traj: Trajectory, from_index: int, count: int) -> GappedTrajector
 
 # Rows formatted per ``write`` call. A chunk is held as per-column lists and
 # one joined string, so its memory grows with the chunk: on 1e5 labelled rows,
-# as ``simulate`` may write, the writer's tracemalloc peak is 0.28 MB at 1024
-# rows against 1.08 MB at 4096, at the same speed, as the per-call cost is
-# spread thin either way.
+# the widest that :func:`write_trajectory_csv` writes, the writer's tracemalloc
+# peak is 0.28 MB at 1024 rows against 1.08 MB at 4096, at the same speed, as
+# the per-call cost is spread thin either way.
 _WRITE_CHUNK = 1024
 # Characters per block of :func:`_copy_rows`, which reads on from each to the
 # next line break. On the 1e5-row benchmark input 8 K blocks copy in 23 ms at a
@@ -381,8 +381,9 @@ def _copy_rows(
     one are labelled "observed".
 
     ``src`` must be the file that was read into ``traj`` when ``src_stat``
-    was taken: if its size or modification time differ, or its rows do not
-    add up to ``len(traj)``, this raises BridgefillError. ``out`` is replaced
+    was taken: if its size or modification time differ, its rows do not add
+    up to ``len(traj)`` or its text no longer decodes, this raises
+    BridgefillError. ``out`` is replaced
     only on success (see :func:`_replacing`), so it may be ``src``, and a
     failure leaves it as it was.
     """
@@ -401,18 +402,21 @@ def _copy_rows(
         fout.write("t,x,y,source\r\n" if labelled or label else "t,x,y\r\n")
         end = f",{SOURCE_OBSERVED}\r\n" if label else "\r\n"
         n = 0  # rows before the block
-        while block := fin.read(_COPY_BLOCK) + fin.readline():
-            rows = list(filter(None, block.split("\n")))
-            # the block holds rows n to n + len(rows): cut the gap out by offset
-            before, after = rows[:max(gap.start - n, 0)], rows[max(gap.stop - n, 0):]
-            if before:
-                fout.write(end.join(before) + end)
-            if fill is not None and n <= gap.start < n + len(rows):
-                coords, source = fill
-                _write_rows(fout, gapped.missing_times, coords,
-                            (source,) * gapped.n_missing)
-            if after:
-                fout.write(end.join(after) + end)
-            n += len(rows)
+        try:
+            while block := fin.read(_COPY_BLOCK) + fin.readline():
+                rows = list(filter(None, block.split("\n")))
+                # the block holds rows n to n + len(rows): cut the gap out by offset
+                before, after = rows[:max(gap.start - n, 0)], rows[max(gap.stop - n, 0):]
+                if before:
+                    fout.write(end.join(before) + end)
+                if fill is not None and n <= gap.start < n + len(rows):
+                    coords, source = fill
+                    _write_rows(fout, gapped.missing_times, coords,
+                                (source,) * gapped.n_missing)
+                if after:
+                    fout.write(end.join(after) + end)
+                n += len(rows)
+        except UnicodeDecodeError:  # it decoded when it was read, so it changed
+            n = -1
         if n != len(traj) or changed(fin):
             raise BridgefillError(f"{src}: changed since it was read")

@@ -157,6 +157,10 @@ class TestExpectedPathLength:
             expected_path_length(-1.0, 1.0, (1, 1), 5)
         with pytest.raises(DomainError, match="finite"):
             expected_path_length(math.inf, 1.0, (1, 1), 5)
+        for duration in [math.inf, math.nan]:
+            with pytest.raises(DomainError, match=re.escape(
+                    f"duration must be finite and > 0, got {duration!r}")):
+                expected_path_length(1.0, duration, (1, 1), 5)
         with pytest.raises(DomainError, match="displacement must be finite"):
             expected_path_length(1.0, 1.0, (math.inf, 1), 5)
 

@@ -530,19 +530,21 @@ class TestExperiment:
 
     @pytest.mark.filterwarnings("error")
     def test_rog_summary_of_non_finite_values(self, tmp_path, capsys):
-        # every RoG overflows, so no cell has a finite value to average, and
-        # no numpy RuntimeWarning escapes
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({
-            "kind": "rog", "replicates": 2,
-            "models": [{"model": "fixed-velocity", "v": 1e200}]}))
-        assert main(["experiment", "--config", str(config),
-                     "--out", str(tmp_path / "out")]) == 0
-        summary = json.loads((tmp_path / "out" / "rog_summary.json").read_text())
-        for cell in summary["cells"]:
-            assert cell["count"] == 0
-            assert cell["mean_rog_before"] is None
-            assert cell["mean_rog_after"] is None
+        # every RoG overflows (v 1e200), or every generated point does (v
+        # 1e308), so no cell has a finite value to average, and no numpy
+        # RuntimeWarning escapes
+        for v in [1e200, 1e308]:
+            config, out = tmp_path / f"config_{v}.json", tmp_path / f"out_{v}"
+            config.write_text(json.dumps({
+                "kind": "rog", "replicates": 2,
+                "models": [{"model": "fixed-velocity", "v": v}]}))
+            assert main(["experiment", "--config", str(config),
+                         "--out", str(out)]) == 0
+            summary = json.loads((out / "rog_summary.json").read_text())
+            for cell in summary["cells"]:
+                assert cell["count"] == 0
+                assert cell["mean_rog_before"] is None
+                assert cell["mean_rog_after"] is None
 
     @pytest.mark.parametrize("argv, config, message", [
         (["simulate", "--model", "fixed-velocity", "--steps", str(10 ** 30)], None,
@@ -563,18 +565,44 @@ class TestExperiment:
         assert err.startswith("bridgefill: error: ") and message in err
 
 
-@pytest.mark.parametrize("argv, seed", [
-    (["experiment", "--kind", "rog", "--replicates", "1"], "-1"),
-    (["simulate", "--model", "fixed-velocity", "--steps", "5"], "-1"),
-    (["fill", "--in", "in.csv"], "-1"),
-    (["simulate", "--model", "fixed-velocity", "--steps", "5"], "abc"),
-], ids=["experiment", "simulate", "fill", "simulate-not-a-number"])
-def test_negative_seed_is_usage_error(tmp_path, capsys, argv, seed):
+@pytest.mark.parametrize("argv, flag, value, expected", [
+    (["experiment", "--kind", "rog", "--replicates", "1"], "--seed", "-1",
+     "a non-negative integer"),
+    (["simulate", "--model", "fixed-velocity", "--steps", "5"], "--seed", "-1",
+     "a non-negative integer"),
+    (["fill", "--in", "in.csv"], "--seed", "-1", "a non-negative integer"),
+    (["simulate", "--model", "fixed-velocity", "--steps", "5"], "--seed", "abc",
+     "a non-negative integer"),
+    (["fill", "--in", "in.csv"], "--realisations", "0", "an integer >= 1"),
+    (["fill", "--in", "in.csv"], "--realisations", "x", "an integer >= 1"),
+    (["fill", "--in", "in.csv"], "--sigma", "nan", "a finite number >= 0"),
+    (["fill", "--in", "in.csv"], "--sigma", "inf", "a finite number >= 0"),
+    (["fill", "--in", "in.csv"], "--sigma", "-1", "a finite number >= 0"),
+], ids=["experiment", "simulate", "fill", "simulate-not-a-number",
+        "realisations-zero", "realisations-not-a-number", "sigma-nan", "sigma-inf",
+        "sigma-negative"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, argv, flag, value, expected):
+    # The seed and the other number flags are refused while parsing, by type.
     with pytest.raises(SystemExit) as exc:
-        main([*argv, "--seed", seed, "--out", str(tmp_path / "out")])
+        main([*argv, flag, value, "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
-    assert f"--seed: expected a non-negative integer, got '{seed}'" in (
+    assert f"argument {flag}: expected {expected}, got '{value}'" in (
         capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("model, param", [
+    ("discrete-brownian", "sigma"), ("fixed-velocity", "v"), ("angular-walk", "v"),
+    ("internal-state", "step"),
+])
+def test_overflowing_simulation_is_data_error(tmp_path, capsys, model, param):
+    # The suite turns any numpy warning into an error.
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--model", model, "--param", f"{param}=1e308",
+                 "--steps", "10", "--out", str(out)]) == 3
+    assert "bridgefill: error: timestamps and coordinates must be finite" in (
+        capsys.readouterr().err)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("param, message", [
@@ -824,6 +852,26 @@ class TestOutputReplace:
         monkeypatch.setattr(trajectory, "_COPY_BLOCK", 64)
         self.test_input_changed_after_read_is_data_error(
             path_csv, tmp_path, capsys, monkeypatch, command, tamper)
+
+    def test_undecodable_bytes_appended_during_the_copy_are_data_error(
+            self, path_csv, tmp_path, capsys, monkeypatch):
+        # The tampers above act before the copy opens --in. These bytes come
+        # once it has begun, as the fill rows are written, and do not decode.
+        write_rows = trajectory._write_rows
+
+        def append_then_write(*args):
+            with open(path_csv, "ab") as fh:
+                fh.write(b"\xff\xfe,1,1\r\n")
+            write_rows(*args)
+        monkeypatch.setattr(trajectory, "_write_rows", append_then_write)
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"kept as it was\n")
+        assert _run("fill", path_csv, out, *GAP) == 3
+        assert out.read_bytes() == b"kept as it was\n"
+        assert sorted(os.listdir(tmp_path)) == ["in.csv", "out.csv"]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"bridgefill: error: {path_csv}: changed since it was read" in captured.err
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="names a pipe by /dev/fd/N")

@@ -29,11 +29,15 @@ def test_every_exported_name_resolves():
 
 
 def test_pyproject_version_is_package_version():
-    # Every summary embeds the version, which is set by hand in two files.
-    # A regex, as Python 3.10 has no tomllib.
+    # Every summary embeds the version. It is set in _version.py alone, and
+    # pyproject.toml reads it from there. A regex, as Python 3.10 has no
+    # tomllib.
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
-    [version] = re.findall(r'^version = "([^"]*)"$', text, re.MULTILINE)
-    assert version == bridgefill.__version__
+    assert re.findall(r"^dynamic = (.*)$", text, re.MULTILINE) == ['["version"]']
+    assert re.findall(r"^version = (.*)$", text, re.MULTILINE) == [
+        '{attr = "bridgefill._version.__version__"}']
+    assert importlib.import_module("bridgefill._version").__version__ == (
+        bridgefill.__version__)
 
 
 def test_benchmark_import_surface_resolves():
